@@ -2,7 +2,7 @@
 //!
 //! Claim: a fixed `rows_per_shard` must be guessed against a workload the
 //! operator does not control, and both guesses lose under rot-heavy
-//! churn. Undersized shards multiply locks and per-shard summary work;
+//! churn. Undersized shards multiply per-shard summary work;
 //! oversized shards keep hollowed-out time ranges resident because a
 //! shard only drops in O(1) when *everything* in it rotted. The adaptive
 //! lifecycle (`WITH SHARDING (…, adaptive = on)`) fixes both ends from
@@ -17,7 +17,7 @@
 //! most of the time in both directions. We run fixed layouts a quarter,
 //! one, and four times the nominal shard size, plus the adaptive layout
 //! at the nominal size, all under one seed, and record decay-tick
-//! latency percentiles, the resident shard count (= lock count), live
+//! latency percentiles, the resident shard count, live
 //! memory, and the lifecycle counters. EXPERIMENTS.md asserts the
 //! headline: the adaptive layout's resident shard count tracks live data
 //! (ending as low as the 4× oversized layout, with a fraction of its

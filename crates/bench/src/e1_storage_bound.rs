@@ -54,7 +54,7 @@ pub fn run(scale: Scale) -> String {
                 let c = db.container("r").expect("exists");
                 let guard = c.read();
                 cells.push(guard.live_count().to_string());
-                cells.push(fnum(guard.store().approx_bytes() as f64 / 1024.0));
+                cells.push(fnum(guard.extent().approx_bytes() as f64 / 1024.0));
             }
             table.row(cells);
         }

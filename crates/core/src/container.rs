@@ -8,7 +8,6 @@ use fungus_storage::{SpotCensus, TableStats, TableStore, TombstoneReason};
 use fungus_types::{FungusError, Result, Schema, Tick, Tuple, TupleId, Value};
 
 use crate::distill::Distiller;
-use crate::extent::Extent;
 use crate::metrics::EngineMetrics;
 use crate::mvcc::ContainerMvcc;
 use crate::policy::ContainerPolicy;
@@ -29,7 +28,7 @@ pub struct DecayReport {
 /// The paper's relation `R(t, f, A1..An)` with its attached fungus.
 pub struct Container {
     name: String,
-    extent: Extent,
+    extent: ShardedExtent,
     policy: ContainerPolicy,
     fungus: Box<dyn Fungus>,
     distiller: Distiller,
@@ -48,76 +47,28 @@ impl Container {
         policy: ContainerPolicy,
         rng: &DeterministicRng,
     ) -> Result<Self> {
-        let name = name.into();
-        policy.validate()?;
-        let container_rng = DeterministicRng::new(rng.derive_seed(&name));
-        let fungus = policy.fungus.build(&container_rng)?;
-        let distiller = Distiller::new(
-            &policy.distill,
-            &schema,
-            container_rng.derive_seed("distill"),
-        )?;
-        let extent = match policy.sharding {
-            Some(spec) => Extent::Sharded(ShardedExtent::new(
-                schema,
-                policy.storage.clone(),
-                spec,
-                &container_rng,
-            )?),
-            None => Extent::Mono(TableStore::new(schema, policy.storage.clone())?),
-        };
-        Ok(Container {
-            name,
-            extent,
-            policy,
-            fungus,
-            distiller,
-            metrics: EngineMetrics::default(),
-            mvcc_dirty: true,
+        Self::assemble(name.into(), policy, rng, |policy, rng| {
+            ShardedExtent::new(schema, policy.storage.clone(), policy.sharding, rng)
         })
     }
 
-    /// Rebuilds a container around a restored store (snapshot recovery).
+    /// Rebuilds a container around a restored monolithic store (snapshot
+    /// recovery), re-sharding it under the policy's spec on the way in.
     /// The fungus restarts from its seed; summaries restart empty (they
-    /// describe departed data, which the snapshot does not carry). If the
-    /// policy asks for sharding, the monolithic snapshot is re-sharded on
-    /// the way in.
+    /// describe departed data, which the snapshot does not carry).
     pub fn from_store(
         name: impl Into<String>,
         store: TableStore,
         policy: ContainerPolicy,
         rng: &DeterministicRng,
     ) -> Result<Self> {
-        let name = name.into();
-        policy.validate()?;
-        let container_rng = DeterministicRng::new(rng.derive_seed(&name));
-        let fungus = policy.fungus.build(&container_rng)?;
-        let distiller = Distiller::new(
-            &policy.distill,
-            store.schema(),
-            container_rng.derive_seed("distill"),
-        )?;
-        let extent = match policy.sharding {
-            Some(spec) => Extent::Sharded(ShardedExtent::from_monolithic(
-                &store,
-                spec,
-                &container_rng,
-            )?),
-            None => Extent::Mono(store),
-        };
-        Ok(Container {
-            name,
-            extent,
-            policy,
-            fungus,
-            distiller,
-            metrics: EngineMetrics::default(),
-            mvcc_dirty: true,
+        Self::assemble(name.into(), policy, rng, |policy, rng| {
+            ShardedExtent::from_monolithic(&store, policy.sharding, rng)
         })
     }
 
-    /// Rebuilds a *sharded* container from a shard-aware checkpoint: a
-    /// layout manifest plus one restored store per resident shard. Unlike
+    /// Rebuilds a container from a checkpoint: a layout manifest plus one
+    /// restored store per resident shard. Unlike
     /// [`from_store`](Self::from_store) — which flattens and re-shards —
     /// this preserves the checkpointed boundaries, summaries, dirty flags,
     /// and lifecycle counters exactly. The fungus restarts from its seed,
@@ -129,21 +80,28 @@ impl Container {
         policy: ContainerPolicy,
         rng: &DeterministicRng,
     ) -> Result<Self> {
-        let name = name.into();
+        Self::assemble(name.into(), policy, rng, |policy, rng| {
+            ShardedExtent::from_manifest(policy.storage.clone(), manifest, stores, rng)
+        })
+    }
+
+    /// The one constructor body: validates the policy, derives the
+    /// per-container RNG, and builds fungus, extent and distiller from it.
+    fn assemble(
+        name: String,
+        policy: ContainerPolicy,
+        rng: &DeterministicRng,
+        extent: impl FnOnce(&ContainerPolicy, &DeterministicRng) -> Result<ShardedExtent>,
+    ) -> Result<Self> {
         policy.validate()?;
         let container_rng = DeterministicRng::new(rng.derive_seed(&name));
         let fungus = policy.fungus.build(&container_rng)?;
+        let extent = extent(&policy, &container_rng)?;
         let distiller = Distiller::new(
             &policy.distill,
-            &manifest.schema,
+            extent.schema(),
             container_rng.derive_seed("distill"),
         )?;
-        let extent = Extent::Sharded(ShardedExtent::from_manifest(
-            policy.storage.clone(),
-            manifest,
-            stores,
-            &container_rng,
-        )?);
         Ok(Container {
             name,
             extent,
@@ -170,43 +128,17 @@ impl Container {
         &self.policy
     }
 
-    /// The underlying extent, whatever its layout.
-    pub fn extent(&self) -> &Extent {
+    /// The underlying extent.
+    pub fn extent(&self) -> &ShardedExtent {
         &self.extent
     }
 
     /// Mutable access to the extent, for advanced callers (experiments
     /// that drive decay by hand). Invariants are maintained by the extent
     /// itself.
-    pub fn extent_mut(&mut self) -> &mut Extent {
+    pub fn extent_mut(&mut self) -> &mut ShardedExtent {
         self.mvcc_dirty = true;
         &mut self.extent
-    }
-
-    /// Immutable view of the underlying store.
-    ///
-    /// # Panics
-    ///
-    /// If the container is sharded; use [`extent`](Self::extent) (or
-    /// [`Extent::as_sharded`]) for layout-aware access.
-    pub fn store(&self) -> &TableStore {
-        self.extent
-            .as_store()
-            // lint: allow(panic, "documented # Panics contract: callers on sharded containers must use extent()")
-            .expect("store(): container is sharded; use extent()")
-    }
-
-    /// Mutable access to the monolithic store.
-    ///
-    /// # Panics
-    ///
-    /// If the container is sharded; use [`extent_mut`](Self::extent_mut).
-    pub fn store_mut(&mut self) -> &mut TableStore {
-        self.mvcc_dirty = true;
-        self.extent
-            .as_store_mut()
-            // lint: allow(panic, "documented # Panics contract: callers on sharded containers must use extent_mut()")
-            .expect("store_mut(): container is sharded; use extent_mut()")
     }
 
     /// Operation counters.
@@ -224,7 +156,7 @@ impl Container {
         self.extent.live_count()
     }
 
-    /// Resident shard count (1 for a monolithic container).
+    /// Resident shard count.
     pub fn shard_count(&self) -> usize {
         self.extent.shard_count()
     }
@@ -495,6 +427,7 @@ mod tests {
     use crate::distill::{DistillSpec, DistillTrigger};
     use fungus_fungi::FungusSpec;
     use fungus_query::parse_statement;
+    use fungus_storage::DecaySurface;
     use fungus_summary::{AnySummary, SummarySpec};
     use fungus_types::{DataType, TickDelta};
 
@@ -593,6 +526,9 @@ mod tests {
         for i in 0..32i64 {
             c.insert(vec![Value::Int(i)], Tick(0)).unwrap();
         }
+        // One row that outlives the rest: a wholly rotten shard detaches in
+        // one piece and would leave the compaction nothing to drop.
+        c.insert(vec![Value::Int(32)], Tick(3)).unwrap();
         let reports: Vec<DecayReport> = (1..=3).map(|t| c.decay_tick(Tick(t))).collect();
         assert!(!reports[0].compacted);
         assert!(!reports[1].compacted);
@@ -600,7 +536,7 @@ mod tests {
         assert!(c.metrics().compactions == 1);
         assert!(
             c.metrics().segments_dropped > 0,
-            "everything rotted, segments drop"
+            "the first 32 rotted, their segments drop"
         );
     }
 
@@ -632,7 +568,7 @@ mod tests {
             for t in 100..150u64 {
                 c.decay_tick(Tick(t));
             }
-            (c.live_count(), c.store().infected_ids())
+            (c.live_count(), c.extent().infected_ids())
         };
         assert_eq!(run(), run());
     }
@@ -647,18 +583,18 @@ mod tests {
         for t in 1..=5u64 {
             c.decay_tick(Tick(t));
         }
-        assert!(c.store().infected_count() > 0);
+        assert!(c.extent().infected_count() > 0);
         let cured = c.cure_all();
         assert!(cured > 0);
-        assert_eq!(c.store().infected_count(), 0);
+        assert_eq!(c.extent().infected_count(), 0);
     }
 
     #[test]
     fn sharded_container_matches_monolithic_run() {
-        let run = |sharding: Option<fungus_shard::ShardSpec>| {
-            let mut policy = ContainerPolicy::new(FungusSpec::Egi(Default::default()))
-                .with_decay_period(TickDelta(1));
-            policy.sharding = sharding;
+        let run = |sharding: fungus_shard::ShardSpec| {
+            let policy = ContainerPolicy::new(FungusSpec::Egi(Default::default()))
+                .with_decay_period(TickDelta(1))
+                .with_sharding(sharding);
             let mut c = container_with_policy(policy);
             for i in 0..120i64 {
                 c.insert(vec![Value::Int(i)], Tick(i as u64 / 4)).unwrap();
@@ -670,8 +606,8 @@ mod tests {
             let rows = c.query(&plan, Tick(70)).unwrap().rows;
             (c.live_count(), c.metrics().tuples_rotted, rows)
         };
-        let mono = run(None);
-        let sharded = run(Some(fungus_shard::ShardSpec::new(16).with_workers(1)));
+        let mono = run(fungus_shard::ShardSpec::default());
+        let sharded = run(fungus_shard::ShardSpec::new(16).with_workers(1));
         assert_eq!(mono, sharded, "sharding must not change any answer");
     }
 
@@ -700,7 +636,7 @@ mod tests {
     fn from_store_restores_extent() {
         let mut c = container_with_policy(ContainerPolicy::immortal());
         c.insert(vec![Value::Int(5)], Tick(1)).unwrap();
-        let bytes = fungus_storage::encode_table(c.store());
+        let bytes = fungus_storage::encode_table(&c.extent().to_monolithic().unwrap());
         let store = fungus_storage::decode_table(bytes).unwrap();
         let restored =
             Container::from_store("test", store, ContainerPolicy::immortal(), &rng()).unwrap();

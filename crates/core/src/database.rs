@@ -700,13 +700,13 @@ impl Database {
             .collect()
     }
 
-    /// Saves a container's extent to a snapshot file. Sharded extents are
-    /// serialized in the monolithic format (the logical state is
-    /// layout-independent), so snapshots stay portable across layouts.
+    /// Saves a container's extent to a snapshot file in the monolithic
+    /// format (the logical state is layout-independent), so snapshots stay
+    /// portable across layouts; the loading policy re-shards on restore.
     pub fn save_container(&self, name: &str, path: impl AsRef<std::path::Path>) -> Result<()> {
         let c = self.container(name)?;
         let guard = c.read();
-        save_extent(guard.extent(), path)
+        fungus_storage::save_to_file(&guard.extent().to_monolithic()?, path)
     }
 
     /// Loads a container extent from a snapshot file and adopts it under
@@ -723,15 +723,14 @@ impl Database {
     }
 
     /// Checkpoints every container into `dir`, plus a `MANIFEST` recording
-    /// the clock, the policies, and (for sharded containers) the shard
-    /// layout, so a whole database can be restored with
-    /// [`restore_checkpoint`](Self::restore_checkpoint).
+    /// the clock, the policies, and the shard layouts, so a whole database
+    /// can be restored with [`restore_checkpoint`](Self::restore_checkpoint).
     ///
-    /// Monolithic containers write one `<name>.snap`. Sharded containers
-    /// write one `<name>.shard-<base>.snap` per resident shard and a
-    /// `layout` manifest line carrying boundaries, summaries, dirty flags,
-    /// dropped ranges, and lifecycle counters — restore reassembles the
-    /// extent shard by shard instead of flattening and re-splitting it.
+    /// Every container writes one `<name>.shard-<base>.snap` per resident
+    /// shard and a `layout` manifest line carrying boundaries, summaries,
+    /// dirty flags, dropped ranges, and lifecycle counters — restore
+    /// reassembles the extent shard by shard instead of flattening and
+    /// re-splitting it.
     pub fn checkpoint(&self, dir: impl AsRef<std::path::Path>) -> Result<()> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
@@ -739,21 +738,12 @@ impl Database {
         manifest.push_str(&format!("clock\t{}\n", self.now().get()));
         for (name, container) in &self.containers {
             let guard = container.read();
-            match guard.extent() {
-                crate::extent::Extent::Mono(store) => {
-                    fungus_storage::save_to_file(store, dir.join(format!("{name}.snap")))?;
-                }
-                crate::extent::Extent::Sharded(ext) => {
-                    ext.for_each_shard_store(|base, store| {
-                        fungus_storage::save_to_file(
-                            store,
-                            dir.join(format!("{name}.shard-{base}.snap")),
-                        )
-                    })?;
-                    let layout_json = serde_json_lite(&ext.manifest())?;
-                    manifest.push_str(&format!("layout\t{name}\t{layout_json}\n"));
-                }
-            }
+            let ext = guard.extent();
+            ext.for_each_shard_store(|base, store| {
+                fungus_storage::save_to_file(store, dir.join(format!("{name}.shard-{base}.snap")))
+            })?;
+            let layout_json = serde_json_lite(&ext.manifest())?;
+            manifest.push_str(&format!("layout\t{name}\t{layout_json}\n"));
             let policy_json = serde_json_lite(guard.policy())?;
             manifest.push_str(&format!("container\t{name}\t{policy_json}\n"));
         }
@@ -762,11 +752,10 @@ impl Database {
     }
 
     /// Restores a database from a [`checkpoint`](Self::checkpoint)
-    /// directory: clock position, every container, its policy, and — for
-    /// sharded containers — the exact shard layout (boundaries, summaries,
-    /// dirty flags, counters). The database must be empty (freshly
-    /// constructed with the original seed for identical post-restore decay
-    /// behaviour).
+    /// directory: clock position, every container, its policy, and its
+    /// exact shard layout (boundaries, summaries, dirty flags, counters).
+    /// The database must be empty (freshly constructed with the original
+    /// seed for identical post-restore decay behaviour).
     pub fn restore_checkpoint(&mut self, dir: impl AsRef<std::path::Path>) -> Result<()> {
         let dir = dir.as_ref();
         if self.container_count() != 0 {
@@ -819,7 +808,7 @@ impl Database {
             self.scheduler.clock().reset_to(tick);
         }
         for (name, policy_json) in containers {
-            let policy: ContainerPolicy = serde_json_parse(&policy_json)?;
+            let policy = parse_policy(&policy_json)?;
             match layouts.remove(&name) {
                 Some(layout_json) => {
                     let layout: fungus_shard::ShardLayoutManifest = serde_json_parse(&layout_json)?;
@@ -833,6 +822,8 @@ impl Database {
                         Container::from_sharded_parts(&name, &layout, stores, policy, &self.rng)?;
                     self.adopt_container(container)?;
                 }
+                // Checkpoints written before every container carried a
+                // layout line keep one monolithic `<name>.snap`.
                 None => {
                     self.load_container(&name, dir.join(format!("{name}.snap")), policy)?;
                 }
@@ -847,17 +838,6 @@ impl Database {
     }
 }
 
-/// Writes any extent layout in the monolithic snapshot format; a sharded
-/// container's policy re-shards it on restore.
-fn save_extent(extent: &crate::extent::Extent, path: impl AsRef<std::path::Path>) -> Result<()> {
-    match extent {
-        crate::extent::Extent::Mono(store) => fungus_storage::save_to_file(store, path),
-        crate::extent::Extent::Sharded(ext) => {
-            fungus_storage::save_to_file(&ext.to_monolithic()?, path)
-        }
-    }
-}
-
 // Policies are serde types; the workspace deliberately avoids a JSON
 // dependency, so the manifest uses the in-house codec in
 // `fungus_types::json`.
@@ -867,6 +847,20 @@ fn serde_json_lite<T: serde::Serialize>(value: &T) -> Result<String> {
 
 fn serde_json_parse<T: for<'de> serde::Deserialize<'de>>(s: &str) -> Result<T> {
     fungus_types::json::from_str(s)
+}
+
+/// Parses a checkpointed policy. Checkpoints written while the sharding
+/// spec was optional spell "no sharding clause" as `"sharding":null`;
+/// dropping the key lets it default to the one-shard spec.
+fn parse_policy(policy_json: &str) -> Result<ContainerPolicy> {
+    use fungus_types::json::Json;
+    let mut tree = fungus_types::json::parse(policy_json)?;
+    if let Json::Obj(fields) = &mut tree {
+        if fields.get("sharding") == Some(&Json::Null) {
+            fields.remove("sharding");
+        }
+    }
+    serde::Deserialize::deserialize(tree)
 }
 
 /// Splits a script on `;` outside single-quoted literals, trimming and
@@ -1107,7 +1101,7 @@ mod tests {
             let g = c.read();
             (
                 g.live_count(),
-                g.store().infected_ids(),
+                fungus_storage::DecaySurface::infected_ids(g.extent()),
                 g.metrics().tuples_rotted,
             )
         };
@@ -1176,11 +1170,9 @@ mod tests {
         );
         // The cold copies are fresh again (re-inserted, new time axis).
         let cold = db.container("cold").unwrap();
-        assert!(cold
-            .read()
-            .store()
-            .iter_live()
-            .all(|t| t.meta.freshness.is_full()));
+        fungus_storage::DecaySurface::for_each_live_meta(cold.read().extent(), &mut |_, meta| {
+            assert!(meta.freshness.is_full())
+        });
     }
 
     #[test]
@@ -1396,7 +1388,7 @@ mod tests {
         let structure_before = {
             let c = db.container("r").unwrap();
             let g = c.read();
-            let ext = g.extent().as_sharded().unwrap();
+            let ext = g.extent();
             assert!(ext.shard_count() >= 4, "want a multi-shard layout");
             assert!(
                 ext.structure().shards.iter().any(|s| s.dirty),
@@ -1415,7 +1407,7 @@ mod tests {
         let c = restored.container("r").unwrap();
         {
             let g = c.read();
-            let ext = g.extent().as_sharded().unwrap();
+            let ext = g.extent();
             assert_eq!(
                 ext.structure(),
                 structure_before,
@@ -1425,7 +1417,11 @@ mod tests {
         }
         assert_eq!(c.read().live_count(), live_before);
         let telemetry = restored.shard_telemetry();
-        assert_eq!(telemetry.restored as usize, structure_before.shards.len());
+        // `plain` comes back as its one shard.
+        assert_eq!(
+            telemetry.restored as usize,
+            structure_before.shards.len() + 1
+        );
         assert_eq!(telemetry.split, structure_before.shards_split);
         assert_eq!(telemetry.merged, structure_before.shards_merged);
 
@@ -1437,6 +1433,41 @@ mod tests {
         let restored_live = restored.container("r").unwrap().read().live_count();
         let original_live = db.container("r").unwrap().read().live_count();
         assert_eq!(restored_live, original_live);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn restore_loads_checkpoints_written_before_layout_lines() {
+        // What a checkpoint of a container without a sharding clause looked
+        // like while the spec was optional: one `<name>.snap`, a policy
+        // with `"sharding":null`, and no `layout` line.
+        let policy = ContainerPolicy::new(FungusSpec::Retention { max_age: 30 });
+        let mut db = Database::new(9);
+        db.create_container("r", schema(), policy.clone()).unwrap();
+        db.execute("INSERT INTO r VALUES (1), (2), (3)").unwrap();
+        db.run_for(4);
+        let dir =
+            std::env::temp_dir().join(format!("fungus-legacy-checkpoint-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        db.save_container("r", dir.join("r.snap")).unwrap();
+        let spec_json = serde_json_lite(&policy.sharding).unwrap();
+        let policy_json = serde_json_lite(&policy).unwrap();
+        let legacy_json =
+            policy_json.replace(&format!("\"sharding\":{spec_json}"), "\"sharding\":null");
+        assert_ne!(legacy_json, policy_json);
+        std::fs::write(
+            dir.join("MANIFEST"),
+            format!("clock\t4\ncontainer\tr\t{legacy_json}\n"),
+        )
+        .unwrap();
+
+        let mut restored = Database::new(9);
+        restored.restore_checkpoint(&dir).unwrap();
+        assert_eq!(restored.now(), Tick(4));
+        let c = restored.container("r").unwrap();
+        assert_eq!(c.read().policy(), &policy);
+        assert_eq!(c.read().live_count(), 3);
+        assert_eq!(c.read().shard_count(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -27,8 +27,8 @@
 //! | `WITH SHARDING (rows_per_shard = n, adaptive = on\|off, low_water = f, workers = n)` | full control; only `rows_per_shard` is required |
 //!
 //! [`resolve_sharding`] is the **single** place a declarative sharding
-//! request becomes a [`ShardSpec`] — the server's `--shards` flag and the
-//! `serve` example route through it too, so defaults stay in one place.
+//! request becomes a [`ShardSpec`], so defaults stay in one place; a
+//! statement with neither clause gets [`ShardSpec::default`].
 
 use fungus_fungi::{EgiConfig, FungusSpec};
 use fungus_query::{CreateContainerStatement, DistillClause, ShardingClause};
@@ -114,9 +114,6 @@ fn resolve_fungus(name: &str, args: &[f64]) -> Result<FungusSpec> {
 /// left unset in the SQL take the spec's defaults (fixed layout, engine
 /// low-water mark, worker autodetection), so `SHARDS n` is exactly
 /// `WITH SHARDING (rows_per_shard = n)`.
-///
-/// This is the one place DDL becomes a shard specification; every other
-/// entry point (server flags, examples) funnels through it.
 pub fn resolve_sharding(clause: &ShardingClause) -> Result<ShardSpec> {
     let mut spec = ShardSpec::new(clause.rows_per_shard);
     if clause.adaptive == Some(true) {
@@ -317,7 +314,7 @@ mod tests {
     #[test]
     fn shards_shorthand_resolves_to_a_fixed_spec() {
         let (_, _, policy) = resolve("CREATE CONTAINER t (a INT) SHARDS 512").unwrap();
-        let spec = policy.sharding.expect("sharding set");
+        let spec = policy.sharding;
         assert_eq!(spec, ShardSpec::new(512));
         assert!(!spec.adaptive);
     }
@@ -333,9 +330,8 @@ mod tests {
         .unwrap();
         assert_eq!(policy.fungus, FungusSpec::Retention { max_age: 30 });
         assert_eq!(policy.decay_period, TickDelta(3));
-        let spec = policy.sharding.expect("sharding set");
         assert_eq!(
-            spec,
+            policy.sharding,
             ShardSpec::new(256)
                 .with_adaptive()
                 .with_low_water(0.4)
@@ -358,7 +354,7 @@ mod tests {
             "CREATE CONTAINER t (a INT) WITH SHARDING (rows_per_shard = 64, adaptive = off)",
         )
         .unwrap();
-        assert_eq!(policy.sharding, Some(ShardSpec::new(64)));
+        assert_eq!(policy.sharding, ShardSpec::new(64));
     }
 
     #[test]

@@ -179,6 +179,7 @@ mod tests {
     use crate::policy::ContainerPolicy;
     use fungus_clock::DeterministicRng;
     use fungus_fungi::FungusSpec;
+    use fungus_storage::DecaySurface;
     use fungus_types::{DataType, Schema, Value};
 
     fn container(policy: ContainerPolicy) -> Container {
@@ -228,7 +229,7 @@ mod tests {
         let mut c = container(ContainerPolicy::immortal());
         for i in 0..10i64 {
             let id = c.insert(vec![Value::Int(i)], Tick(0)).unwrap();
-            c.store_mut().decay(id, 0.95); // freshness 0.05 — nearly rotten
+            c.extent_mut().decay(id, 0.95); // freshness 0.05 — nearly rotten
         }
         let report = HealthMonitor::new().inspect(&c, Tick(1));
         assert!(report.near_rotten_fraction > 0.99);
@@ -246,7 +247,7 @@ mod tests {
             c.insert(vec![Value::Int(i)], Tick(0)).unwrap();
         }
         for i in 0..6u64 {
-            c.store_mut().infect(fungus_types::TupleId(i), Tick(1));
+            c.extent_mut().infect(fungus_types::TupleId(i), Tick(1));
         }
         let report = HealthMonitor::new().inspect(&c, Tick(1));
         assert!((report.infected_fraction - 0.6).abs() < 1e-9);

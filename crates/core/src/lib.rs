@@ -42,7 +42,6 @@ pub mod container;
 pub mod database;
 pub mod ddl;
 pub mod distill;
-pub mod extent;
 pub mod health;
 pub mod metrics;
 pub mod mvcc;
@@ -54,7 +53,6 @@ pub use container::{Container, DecayReport};
 pub use database::{Database, QueryOutcome};
 pub use ddl::{resolve_create_container, resolve_distill, resolve_sharding};
 pub use distill::{DistillSpec, DistillTrigger, Distiller};
-pub use extent::Extent;
 pub use fungus_shard::{ShardSpec, ShardedExtent};
 pub use health::{HealthMonitor, HealthReport, HealthStatus};
 pub use metrics::{EngineMetrics, MvccTelemetry, ShardTelemetry, SketchTelemetry};

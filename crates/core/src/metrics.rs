@@ -24,12 +24,11 @@ pub struct EngineMetrics {
     pub compactions: u64,
     /// Segments dropped by compaction.
     pub segments_dropped: u64,
-    /// Whole shards detached in O(1) because every live tuple had rotted
-    /// (always 0 on monolithic extents).
+    /// Whole shards detached in O(1) because every live tuple had rotted.
     #[serde(default)]
     pub shards_dropped: u64,
     /// Tail shards sealed early by the adaptive split rule (always 0 on
-    /// monolithic or non-adaptive extents).
+    /// non-adaptive extents).
     #[serde(default)]
     pub shards_split: u64,
     /// Underfull sealed shards merged into a time-adjacent neighbor.
@@ -68,8 +67,8 @@ impl EngineMetrics {
 /// (`.stats` on the server) and experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ShardTelemetry {
-    /// Resident shards across every container (a monolithic extent counts
-    /// as its one undivided shard).
+    /// Resident shards across every container (one for a container
+    /// declared without a sharding clause).
     pub resident: u64,
     /// Shards detached whole — O(1) rot drops plus dead-shard compaction.
     pub dropped: u64,

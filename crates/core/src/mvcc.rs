@@ -372,7 +372,10 @@ mod tests {
     }
 
     fn snap_of(store: &TableStore) -> ExtentSnapshot {
-        ExtentSnapshot::monolithic(store.schema().clone(), Arc::new(store.clone()))
+        let rng = fungus_clock::DeterministicRng::new(0);
+        fungus_shard::ShardedExtent::from_monolithic(store, Default::default(), &rng)
+            .unwrap()
+            .publish_snapshot()
     }
 
     #[test]

@@ -22,9 +22,10 @@ pub struct ContainerPolicy {
     pub compact_every: Option<u64>,
     /// Distillation pipelines fed by departing tuples.
     pub distill: Vec<DistillSpec>,
-    /// Time-range sharding of the extent (None = one monolithic store).
+    /// Time-range sharding of the extent (the default is one
+    /// never-sealing shard).
     #[serde(default)]
-    pub sharding: Option<ShardSpec>,
+    pub sharding: ShardSpec,
     /// Publish MVCC snapshots so non-consuming reads run lock-free
     /// against a sealed epoch (on by default). Off = every read takes the
     /// container lock — the locked baseline the E12-MVCC experiment
@@ -48,7 +49,7 @@ impl ContainerPolicy {
             storage: StorageConfig::default(),
             compact_every: Some(64),
             distill: Vec::new(),
-            sharding: None,
+            sharding: ShardSpec::default(),
             mvcc: true,
         }
     }
@@ -89,7 +90,7 @@ impl ContainerPolicy {
     /// Splits the extent into time-range shards.
     #[must_use]
     pub fn with_sharding(mut self, spec: ShardSpec) -> Self {
-        self.sharding = Some(spec);
+        self.sharding = spec;
         self
     }
 
@@ -108,10 +109,7 @@ impl ContainerPolicy {
         for d in &self.distill {
             d.validate()?;
         }
-        if let Some(sharding) = &self.sharding {
-            sharding.validate()?;
-        }
-        Ok(())
+        self.sharding.validate()
     }
 }
 

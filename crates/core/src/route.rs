@@ -222,8 +222,8 @@ mod tests {
         assert_eq!(tgt.read().live_count(), 0);
         // Rotted departures flow, projected and reordered.
         assert_eq!(route.deliver(&departures, true, Tick(2)).unwrap(), 1);
-        let guard = tgt.read();
-        let row = guard.store().iter_live().next().unwrap();
+        let store = tgt.read().extent().to_monolithic().unwrap();
+        let row = store.iter_live().next().unwrap();
         assert_eq!(row.values, vec![Value::Float(1.5), Value::Int(7)]);
         assert_eq!(
             row.meta.inserted_at,

@@ -4,11 +4,9 @@
 //! in `lint.toml` and checked at CI time by `fungus-lint`): every lock
 //! belongs to a [`LockClass`] with a rank, and a thread may only acquire
 //! a lock whose rank is **strictly greater** than every rank it already
-//! holds — except classes that allow *sibling* acquisition (several locks
-//! of the same class held at once, e.g. adjacent shards during a merge),
-//! where equal rank is also legal. Any acyclic acquisition order embeds
-//! into such a ranking, so a run that never trips the assertion can never
-//! have deadlocked on these locks.
+//! holds. Any acyclic acquisition order embeds into such a ranking, so a
+//! run that never trips the assertion can never have deadlocked on these
+//! locks.
 //!
 //! [`OrderedMutex`] and [`OrderedRwLock`] wrap their `parking_lot`
 //! counterparts. In debug builds (`cfg(debug_assertions)` — the
@@ -33,11 +31,6 @@ pub struct LockClass {
     pub name: &'static str,
     /// Position in the hierarchy; acquisitions must strictly ascend.
     pub rank: u16,
-    /// Whether several locks of this class may be held at once (they must
-    /// then be acquired in a deterministic member order, e.g. ascending
-    /// shard index — the validator checks the class rank, the static pass
-    /// checks the member order is the documented one).
-    pub siblings: bool,
 }
 
 /// The workspace's declared hierarchy, outermost first. Ranks are spaced
@@ -50,13 +43,11 @@ pub mod hierarchy {
     pub static CATALOG: LockClass = LockClass {
         name: "Database.catalog",
         rank: 10,
-        siblings: false,
     };
     /// The server supervisor's worker-slot set.
     pub static WORKERS: LockClass = LockClass {
         name: "Server.workers",
         rank: 15,
-        siblings: false,
     };
     /// A reactor's enrolment queue: the accept thread parks freshly
     /// accepted sockets here; the reactor thread drains it on wake.
@@ -64,7 +55,6 @@ pub mod hierarchy {
     pub static REACTOR_REGISTRY: LockClass = LockClass {
         name: "Reactor.registry",
         rank: 16,
-        siblings: false,
     };
     /// A reactor's completion queue: workers park finished jobs here
     /// (and the poison guard parks corpses); the reactor thread drains
@@ -72,33 +62,22 @@ pub mod hierarchy {
     pub static REACTOR_COMPLETIONS: LockClass = LockClass {
         name: "Reactor.completions",
         rank: 18,
-        siblings: false,
     };
     /// The tick scheduler's task registry; held while decay tasks fire.
     pub static SCHEDULER: LockClass = LockClass {
         name: "Scheduler.tasks",
         rank: 20,
-        siblings: false,
     };
     /// A container's rot-route table; read while delivering departures.
     pub static ROUTES: LockClass = LockClass {
         name: "Database.routes",
         rank: 25,
-        siblings: false,
     };
     /// Per-container extent locks. The decay path releases the source
     /// container before routing, so no thread holds two at once.
     pub static CONTAINERS: LockClass = LockClass {
         name: "Database.containers",
         rank: 30,
-        siblings: false,
-    };
-    /// Per-shard locks inside a sharded extent. Siblings: a merge reads
-    /// two adjacent shards, always in ascending index order.
-    pub static SHARDS: LockClass = LockClass {
-        name: "ShardedExtent.shards",
-        rank: 40,
-        siblings: true,
     };
     /// A container's deferred-touch queue: snapshot readers push access
     /// write-backs here (under the catalog lock only); mutators drain it
@@ -106,7 +85,6 @@ pub mod hierarchy {
     pub static MVCC_TOUCHES: LockClass = LockClass {
         name: "Mvcc.touches",
         rank: 44,
-        siblings: false,
     };
     /// The published-snapshot head of a container's epoch cell. Readers
     /// take it only long enough to clone the `Arc`; publishers swap it
@@ -114,28 +92,24 @@ pub mod hierarchy {
     pub static MVCC_VERSIONS: LockClass = LockClass {
         name: "Mvcc.versions",
         rank: 45,
-        siblings: false,
     };
     /// The retired-version list of an epoch cell, swept at publish and on
     /// gauge reads (a leaf below the snapshot head).
     pub static MVCC_RETIRED: LockClass = LockClass {
         name: "Mvcc.retired",
         rank: 46,
-        siblings: false,
     };
     /// Work-stealing queues of the shard fan-out pool (leaf; guards are
     /// never held across a steal attempt on another queue).
     pub static POOL_QUEUES: LockClass = LockClass {
         name: "ShardPool.queues",
         rank: 50,
-        siblings: false,
     };
     /// `ServerStats` link cells (decay-driver counter, catalog handle).
     /// Leaves: a guard must never be held across a catalog call.
     pub static STATS: LockClass = LockClass {
         name: "ServerStats.links",
         rank: 60,
-        siblings: false,
     };
 
     /// Every class, outermost first.
@@ -147,7 +121,6 @@ pub mod hierarchy {
         &SCHEDULER,
         &ROUTES,
         &CONTAINERS,
-        &SHARDS,
         &MVCC_TOUCHES,
         &MVCC_VERSIONS,
         &MVCC_RETIRED,
@@ -179,20 +152,13 @@ mod track {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(max) = held.iter().map(|h| h.rank).max() {
-                let legal = class.rank > max || (class.rank == max && class.siblings);
-                if !legal {
+                if class.rank <= max {
                     let stack: Vec<&str> = held.iter().map(|h| h.name).collect();
                     panic!(
                         "lock-order violation: acquiring `{}` (rank {}) while holding \
                          {stack:?} (max rank {max}); the declared hierarchy requires \
-                         strictly ascending ranks{}",
-                        class.name,
-                        class.rank,
-                        if class.rank == max && !class.siblings {
-                            " and this class does not allow siblings"
-                        } else {
-                            ""
-                        },
+                         strictly ascending ranks",
+                        class.name, class.rank,
                     );
                 }
             }
@@ -211,9 +177,8 @@ mod track {
     }
 
     pub(super) fn release(token: u64) {
-        // Guards may be dropped out of acquisition order (e.g. the source
-        // shard released before its merge partner), so remove by token
-        // rather than popping.
+        // Guards may be dropped out of acquisition order, so remove by
+        // token rather than popping.
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(pos) = held.iter().rposition(|h| h.token == token) {
@@ -415,17 +380,14 @@ mod tests {
     static OUTER: LockClass = LockClass {
         name: "test.outer",
         rank: 1,
-        siblings: false,
     };
     static INNER: LockClass = LockClass {
         name: "test.inner",
         rank: 2,
-        siblings: false,
     };
-    static SIB: LockClass = LockClass {
-        name: "test.sib",
+    static LEAF: LockClass = LockClass {
+        name: "test.leaf",
         rank: 3,
-        siblings: true,
     };
 
     #[test]
@@ -445,19 +407,10 @@ mod tests {
     }
 
     #[test]
-    fn siblings_may_stack_at_equal_rank() {
-        let a = OrderedRwLock::new(&SIB, 1);
-        let b = OrderedRwLock::new(&SIB, 2);
-        let ga = a.read();
-        let gb = b.read();
-        assert_eq!(*ga + *gb, 3);
-    }
-
-    #[test]
     fn out_of_order_release_keeps_the_held_set_consistent() {
         let a = OrderedMutex::new(&OUTER, 1);
-        let b = OrderedRwLock::new(&SIB, 2);
-        let c = OrderedRwLock::new(&SIB, 3);
+        let b = OrderedRwLock::new(&INNER, 2);
+        let c = OrderedRwLock::new(&LEAF, 3);
         let ga = a.lock();
         let gb = b.read();
         let gc = c.read();
@@ -485,16 +438,16 @@ mod tests {
 
     #[test]
     #[cfg_attr(not(debug_assertions), ignore = "tracking is debug-only")]
-    fn equal_rank_without_siblings_panics_in_debug() {
+    fn equal_rank_acquisition_panics_in_debug() {
         let a = OrderedMutex::new(&OUTER, ());
         let b = OrderedMutex::new(&OUTER, ());
         let _ga = a.lock();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _gb = b.lock();
         }))
-        .expect_err("equal-rank non-sibling acquisition must panic");
+        .expect_err("equal-rank acquisition must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("does not allow siblings"), "{msg}");
+        assert!(msg.contains("strictly ascending ranks"), "{msg}");
     }
 
     #[test]

@@ -223,9 +223,6 @@ mod tests {
 "R.queue" = 10
 "Deep.table" = 30
 
-[lock]
-siblings = []
-
 [lock.patterns]
 ":queue" = "R.queue"
 ":table" = "Deep.table"

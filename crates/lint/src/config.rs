@@ -250,8 +250,6 @@ fn unescape(s: &str) -> String {
 pub struct LockClassDecl {
     pub name: String,
     pub rank: u16,
-    /// Equal-rank nesting legal within the class (adjacent shards).
-    pub siblings: bool,
 }
 
 /// A path-scoped receiver pattern: at `receiver.lock()` /`.read()`/
@@ -355,7 +353,6 @@ impl Config {
             cfg.declared_edges
                 .push((a.trim().to_string(), b.trim().to_string()));
         }
-        let siblings = doc.strings("lock", "siblings");
         for (name, v) in doc.section("lock.ranks") {
             let rank = v
                 .as_int()
@@ -366,15 +363,9 @@ impl Config {
             cfg.classes.push(LockClassDecl {
                 name: name.clone(),
                 rank: rank as u16,
-                siblings: siblings.iter().any(|s| s == name),
             });
         }
         cfg.classes.sort_by_key(|c| c.rank);
-        for s in &siblings {
-            if !cfg.classes.iter().any(|c| &c.name == s) {
-                return Err(format!("lock.siblings names undeclared class `{s}`"));
-            }
-        }
         for (key, v) in doc.section("lock.patterns") {
             let class = v
                 .as_str()
@@ -430,10 +421,10 @@ exclude = ["target", "vendor"] # trailing
 
 [lock.ranks]
 "Database.catalog" = 10
-"ShardedExtent.shards" = 40
+"Database.containers" = 30
 
 [lock]
-siblings = ["ShardedExtent.shards"]
+raw_lock_allow = ["crates/lint-rt/"]
 flag = true
 "#,
         )
@@ -454,9 +445,6 @@ flag = true
 "A.x" = 10
 "B.y" = 40
 
-[lock]
-siblings = ["B.y"]
-
 [lock.patterns]
 "core:inner" = "A.x"
 "core/src/special.rs:inner" = "B.y"
@@ -464,8 +452,6 @@ siblings = ["B.y"]
         )
         .unwrap();
         assert_eq!(cfg.classes.len(), 2);
-        assert!(cfg.class("B.y").unwrap().siblings);
-        assert!(!cfg.class("A.x").unwrap().siblings);
         // Longest path fragment wins.
         assert_eq!(
             cfg.classify("crates/core/src/special.rs", "inner")
@@ -487,7 +473,6 @@ siblings = ["B.y"]
         assert!(parse("[unclosed").is_err());
         assert!(parse("key = 1").is_err(), "key outside section");
         assert!(Config::from_str("[lock.patterns]\n\"a:b\" = \"NoSuch\"").is_err());
-        assert!(Config::from_str("[lock]\nsiblings = [\"ghost\"]").is_err());
         assert!(Config::from_str("[reactor]\nmax_lock_rank = \"ten\"").is_err());
         assert!(Config::from_str("[atomics]\naudited = [\"no-colon\"]").is_err());
     }

@@ -4,10 +4,8 @@
 //! with a rank (`[lock.ranks]` in `lint.toml`, mirrored at runtime by
 //! `fungus_lint_rt::hierarchy`). The legal nesting rule is the same one
 //! the runtime validator asserts: a thread may only acquire a lock of
-//! **strictly higher rank** than everything it holds, except that a
-//! class marked `siblings` may nest within itself (adjacent shards in a
-//! merge). Any program whose acquisitions respect one such ranking
-//! cannot deadlock on these locks.
+//! **strictly higher rank** than everything it holds. Any program whose
+//! acquisitions respect one such ranking cannot deadlock on these locks.
 //!
 //! The static half works from source alone:
 //!
@@ -145,10 +143,9 @@ impl LockGraph {
         let mut out = String::from("digraph lock_order {\n");
         out.push_str("    rankdir=TB;\n    node [shape=box, fontname=\"monospace\"];\n");
         for (i, c) in cfg.classes.iter().enumerate() {
-            let style = if c.siblings { ", peripheries=2" } else { "" };
             out.push_str(&format!(
-                "    c{} [label=\"{}\\nrank {}\"{}];\n",
-                i, c.name, c.rank, style
+                "    c{} [label=\"{}\\nrank {}\"];\n",
+                i, c.name, c.rank
             ));
         }
         for e in &self.edges {
@@ -249,8 +246,7 @@ pub(crate) fn run(
         graph.add(from, to, "declared".into());
         let fa = &cfg.classes[from];
         let fb = &cfg.classes[to];
-        let legal = fb.rank > fa.rank || (from == to && fb.siblings);
-        if !legal {
+        if fb.rank <= fa.rank {
             findings.push(Finding {
                 file: "lint.toml".into(),
                 line: 1,
@@ -583,16 +579,12 @@ fn simulate(
 }
 
 /// Rank rule shared by direct acquisitions and call-imported effects:
-/// the new class must outrank everything held, except same-class
-/// sibling nesting.
+/// the new class must outrank everything held.
 fn ascent_violation(cfg: &Config, class: usize, held: &[&Held]) -> Option<String> {
     let new = &cfg.classes[class];
     let max = held.iter().max_by_key(|h| cfg.classes[h.class].rank)?;
     let max_decl = &cfg.classes[max.class];
     if new.rank > max_decl.rank {
-        return None;
-    }
-    if max.class == class && new.siblings && held.iter().all(|h| h.class == class) {
         return None;
     }
     Some(format!(
@@ -812,9 +804,8 @@ fn extract_functions(files: &[SourceFile]) -> Vec<Function> {
 }
 
 /// DFS cycle search over the observed edge graph. Self-loops are
-/// skipped: sibling ones are legal, non-sibling ones are already
-/// reported by the rank rule at their site. Returns each multi-class
-/// cycle once as a node path.
+/// skipped: the rank rule already reports them at their site. Returns
+/// each multi-class cycle once as a node path.
 fn find_cycles(cfg: &Config, graph: &LockGraph) -> Vec<Vec<usize>> {
     let n = cfg.classes.len();
     let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
@@ -869,9 +860,6 @@ mod tests {
 "Containers" = 30
 "Shards" = 40
 
-[lock]
-siblings = ["Shards"]
-
 [lock.patterns]
 ":inner" = "Catalog"
 ":containers" = "Containers"
@@ -912,17 +900,17 @@ siblings = ["Shards"]
     #[test]
     fn same_statement_temporaries_overlap() {
         // Rust keeps both temporaries alive to the statement's end, so
-        // two same-rank non-sibling guards overlap: flagged.
+        // two same-rank guards overlap: flagged.
         let src = "fn f(a: &L, b: &L) { assert_eq(a.source.read().len(), b.target.read().len()); }";
         let (f, _) = check(src);
         assert_eq!(f.len(), 1, "{f:?}");
     }
 
     #[test]
-    fn sibling_classes_may_nest_at_equal_rank() {
+    fn same_class_nesting_is_flagged() {
         let src = "fn merge(&self) { let a = self.shards.read(); let b = self.shards.read(); }";
         let (f, _) = check(src);
-        assert!(f.is_empty(), "{f:?}");
+        assert_eq!(f.len(), 1, "{f:?}");
     }
 
     #[test]
@@ -996,9 +984,5 @@ siblings = ["Shards"]
         assert!(dot.contains("digraph lock_order"));
         assert!(dot.contains("Catalog\\nrank 10"));
         assert!(dot.contains("->"));
-        assert!(
-            dot.contains("peripheries=2"),
-            "sibling class double-bordered"
-        );
     }
 }

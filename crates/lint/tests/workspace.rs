@@ -54,6 +54,5 @@ fn manifest_ranks_match_runtime_hierarchy() {
             .find(|c| c.name == rt.name)
             .unwrap_or_else(|| panic!("runtime class `{}` missing from lint.toml", rt.name));
         assert_eq!(decl.rank, rt.rank, "rank of `{}`", rt.name);
-        assert_eq!(decl.siblings, rt.siblings, "siblings flag of `{}`", rt.name);
     }
 }

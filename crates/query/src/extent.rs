@@ -29,8 +29,8 @@ pub struct ScanOutcome {
     pub scanned: usize,
     /// Segments skipped by zone-map pruning.
     pub pruned_segments: usize,
-    /// Whole shards skipped by shard-summary pruning (0 on monolithic
-    /// extents).
+    /// Whole shards skipped by shard-summary pruning (0 when scanning a
+    /// bare store).
     pub pruned_shards: usize,
     /// Whether a secondary index answered the scan.
     pub used_index: bool,
@@ -146,8 +146,8 @@ impl QueryExtent for TableStore {
 
 /// Scans one [`TableStore`]: a secondary index answers equality/range
 /// probes without touching the segments; everything else walks them with
-/// zone-map pruning. Shared by the monolithic extent and by each shard of
-/// a sharded one.
+/// zone-map pruning. Each shard of an extent scans its store through
+/// this.
 pub fn scan_store(store: &TableStore, plan: &LogicalPlan, now: Tick) -> Result<ScanOutcome> {
     let schema = store.schema();
     let mut out = ScanOutcome::default();

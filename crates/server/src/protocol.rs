@@ -121,8 +121,7 @@ pub struct StatsSummary {
     pub workers_respawned: u64,
     /// Completed decay-driver ticks (0 without a driver).
     pub driver_ticks: u64,
-    /// Resident shards across every container (monolithic extents count
-    /// as one shard).
+    /// Resident shards across every container.
     #[serde(default)]
     pub shards: u64,
     /// Shards detached whole in O(1) instead of tuple-by-tuple eviction.

@@ -975,7 +975,7 @@ mod tests {
         let report = handle.shutdown().unwrap();
         assert!(report.checkpointed);
         assert!(dir.join("MANIFEST").exists());
-        assert!(dir.join("r.snap").exists());
+        assert!(dir.join("r.shard-0.snap").exists());
 
         // The checkpoint restores into a fresh database.
         let mut restored = Database::new(5);

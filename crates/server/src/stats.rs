@@ -100,8 +100,8 @@ pub struct MetricsSnapshot {
     pub workers_respawned: u64,
     /// Completed decay-driver ticks (0 when no driver is configured).
     pub driver_ticks: u64,
-    /// Resident shards across every container (monolithic extents count
-    /// as one shard; 0 when no catalog is linked).
+    /// Resident shards across every container (0 when no catalog is
+    /// linked).
     pub shards: u64,
     /// Shards detached whole in O(1) — rot drops plus dead-shard
     /// compaction drops.

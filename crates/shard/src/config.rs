@@ -46,6 +46,16 @@ pub struct ShardSpec {
 }
 
 impl ShardSpec {
+    /// The never-sealing width: a shard this wide cannot fill, so the
+    /// extent stays one shard — the layout of a container declared without
+    /// a sharding clause. Policies and layout manifests travel through
+    /// `fungus_types::json`, whose numbers are `f64` and whose integer
+    /// rendering stops at 9.0e15; 2^52 is exact under both, which
+    /// `u64::MAX` is not. Also the largest width [`validate`] accepts.
+    ///
+    /// [`validate`]: Self::validate
+    pub const UNSEALED_ROWS: u64 = 1 << 52;
+
     /// A spec splitting every `rows_per_shard` inserted rows.
     pub fn new(rows_per_shard: u64) -> Self {
         ShardSpec {
@@ -79,9 +89,16 @@ impl ShardSpec {
 
     /// Validates the spec.
     pub fn validate(&self) -> Result<()> {
-        if self.rows_per_shard == 0 {
+        if self.rows_per_shard == 0 || self.rows_per_shard > Self::UNSEALED_ROWS {
+            return Err(FungusError::InvalidConfig(format!(
+                "rows_per_shard must be in [1, {}], got {}",
+                Self::UNSEALED_ROWS,
+                self.rows_per_shard
+            )));
+        }
+        if self.adaptive && self.rows_per_shard == Self::UNSEALED_ROWS {
             return Err(FungusError::InvalidConfig(
-                "rows_per_shard must be at least 1".into(),
+                "adaptive sharding needs a finite rows_per_shard budget".into(),
             ));
         }
         if self.workers == Some(0) {
@@ -99,14 +116,11 @@ impl ShardSpec {
     }
 }
 
+/// One never-sealing shard: what a container declared without a sharding
+/// clause gets.
 impl Default for ShardSpec {
     fn default() -> Self {
-        ShardSpec {
-            rows_per_shard: 4096,
-            workers: None,
-            adaptive: false,
-            low_water: default_low_water(),
-        }
+        ShardSpec::new(Self::UNSEALED_ROWS)
     }
 }
 
@@ -131,6 +145,10 @@ mod tests {
             .validate()
             .is_ok());
         assert!(ShardSpec::default().validate().is_ok());
+        assert!(ShardSpec::default().with_adaptive().validate().is_err());
+        assert!(ShardSpec::new(ShardSpec::UNSEALED_ROWS + 1)
+            .validate()
+            .is_err());
     }
 
     #[test]
@@ -149,5 +167,9 @@ mod tests {
         assert_eq!(bare, ShardSpec::new(7));
         assert!(!bare.adaptive);
         assert_eq!(bare.low_water, 0.25);
+        // The never-sealing width survives the codec's f64 numbers exactly.
+        let json = fungus_types::json::to_string(&ShardSpec::default()).unwrap();
+        let back: ShardSpec = fungus_types::json::from_str(&json).unwrap();
+        assert_eq!(back, ShardSpec::default());
     }
 }

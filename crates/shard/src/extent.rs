@@ -1,10 +1,12 @@
 //! The sharded container extent.
 //!
-//! [`ShardedExtent`] replaces the single [`TableStore`] behind a container
-//! with an ordered set of time-range [`Shard`]s, each behind its own lock
-//! with its own summary stats. It implements the same two traits the
-//! engine drives a monolithic store through — [`DecaySurface`] for fungi
-//! and [`QueryExtent`] for the executor — and is **observationally
+//! [`ShardedExtent`] is the one physical layout behind every container:
+//! an ordered set of time-range [`Shard`]s, each with its own summary
+//! stats, owned outright (every mutation holds `&mut self`, so there is
+//! no per-shard lock). A container declared without a sharding clause is
+//! the one-shard case, [`ShardSpec::default`]. It implements the two
+//! traits a bare [`TableStore`] is driven through — [`DecaySurface`] for
+//! fungi and [`QueryExtent`] for the executor — and is **observationally
 //! identical** to a monolithic store under any workload and any shard
 //! count:
 //!
@@ -42,7 +44,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fungus_lint_rt::{hierarchy, OrderedRwLock};
 use serde::{Deserialize, Serialize};
 
 use fungus_clock::DeterministicRng;
@@ -218,7 +219,7 @@ pub struct ShardedExtent {
     schema: Schema,
     storage: StorageConfig,
     spec: ShardSpec,
-    shards: Vec<OrderedRwLock<Shard>>,
+    shards: Vec<Shard>,
     /// Id ranges of dropped shards, ascending and non-overlapping.
     dropped: Vec<DroppedRange>,
     /// Next tuple id to allocate (== total ids ever allocated).
@@ -327,15 +328,12 @@ impl ShardedExtent {
     /// Shards whose freshness changed since their last eviction pass —
     /// the work an eviction pass cannot skip.
     pub fn dirty_shard_count(&self) -> usize {
-        self.shards.iter().filter(|l| l.read().dirty()).count()
+        self.shards.iter().filter(|s| s.dirty()).count()
     }
 
     /// Live tuples across all shards.
     pub fn live_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|l| l.read().store().live_count())
-            .sum()
+        self.shards.iter().map(|s| s.store().live_count()).sum()
     }
 
     /// Tuples ever inserted (ids are dense, so this is the id watermark).
@@ -350,26 +348,17 @@ impl ShardedExtent {
 
     /// Approximate live heap bytes across shards.
     pub fn approx_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|l| l.read().store().approx_bytes())
-            .sum()
+        self.shards.iter().map(|s| s.store().approx_bytes()).sum()
     }
 
     /// Total segments across resident shards.
     pub fn segment_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|l| l.read().store().segments().len())
-            .sum()
+        self.shards.iter().map(|s| s.store().segments().len()).sum()
     }
 
     /// Infected live tuples across shards.
     pub fn infected_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|l| l.read().store().infected_count())
-            .sum()
+        self.shards.iter().map(|s| s.store().infected_count()).sum()
     }
 
     /// Evictions by rot (resident shards plus dropped ones).
@@ -378,7 +367,7 @@ impl ShardedExtent {
             + self
                 .shards
                 .iter()
-                .map(|l| l.read().store().evicted_rotted())
+                .map(|s| s.store().evicted_rotted())
                 .sum::<u64>()
     }
 
@@ -388,7 +377,7 @@ impl ShardedExtent {
             + self
                 .shards
                 .iter()
-                .map(|l| l.read().store().evicted_consumed())
+                .map(|s| s.store().evicted_consumed())
                 .sum::<u64>()
     }
 
@@ -398,7 +387,7 @@ impl ShardedExtent {
             + self
                 .shards
                 .iter()
-                .map(|l| l.read().store().evicted_deleted())
+                .map(|s| s.store().evicted_deleted())
                 .sum::<u64>()
     }
 
@@ -408,24 +397,20 @@ impl ShardedExtent {
             + self
                 .shards
                 .iter()
-                .map(|l| l.read().store().rotted_unread())
+                .map(|s| s.store().rotted_unread())
                 .sum::<u64>()
     }
 
     /// Index of the resident shard covering `id`, if any (ids inside
     /// dropped ranges and unallocated ids have none).
     fn locate(&self, id: TupleId) -> Option<usize> {
-        let idx = self.shards.partition_point(|l| l.read().end() <= id.get());
-        (idx < self.shards.len() && self.shards[idx].read().base() <= id.get()).then_some(idx)
+        let idx = self.shards.partition_point(|s| s.end() <= id.get());
+        (idx < self.shards.len() && self.shards[idx].base() <= id.get()).then_some(idx)
     }
 
     /// Opens a fresh tail shard when there is none or the tail is sealed.
     fn ensure_tail(&mut self) -> Result<()> {
-        let needs_new = match self.shards.last_mut() {
-            Some(l) => l.get_mut().is_sealed(),
-            None => true,
-        };
-        if !needs_new {
+        if self.shards.last().is_some_and(|tail| !tail.is_sealed()) {
             return Ok(());
         }
         let base = self.next_id;
@@ -443,8 +428,7 @@ impl ShardedExtent {
         for col in &self.ord_indexed {
             shard.store_mut().create_ord_index(col)?;
         }
-        self.shards
-            .push(OrderedRwLock::new(&hierarchy::SHARDS, shard));
+        self.shards.push(shard);
         Ok(())
     }
 
@@ -503,7 +487,7 @@ impl ShardedExtent {
             max_tick: u64,
         }
         let sweeps: Vec<Option<DirtySweep>> = self.pool.run(self.shards.len(), |i| {
-            let sh = self.shards[i].read();
+            let sh = &self.shards[i];
             if !sh.dirty() {
                 return None;
             }
@@ -534,13 +518,13 @@ impl ShardedExtent {
                 idx += 1;
                 continue;
             };
-            let live = self.shards[idx].get_mut().store().live_count();
+            let live = self.shards[idx].store().live_count();
             if live > 0 && sweep.rotten.len() == live {
-                let shard = self.shards.remove(idx).into_inner();
+                let shard = self.shards.remove(idx);
                 evicted.extend(self.drop_shard(shard, true));
                 // The next shard slid into `idx`.
             } else {
-                let shard = self.shards[idx].get_mut();
+                let shard = &mut self.shards[idx];
                 for id in sweep.rotten {
                     if let Some(t) = shard.store_mut().delete(id, TombstoneReason::Rotted) {
                         evicted.push(t);
@@ -582,8 +566,7 @@ impl ShardedExtent {
     ///
     /// [`tail_inserts_since_sweep`]: ShardStructure::tail_inserts_since_sweep
     fn adapt(&mut self) {
-        if let Some(lock) = self.shards.last_mut() {
-            let sh = lock.get_mut();
+        if let Some(sh) = self.shards.last_mut() {
             if !sh.is_sealed()
                 && sh.allocated() > 0
                 && sh.allocated() + self.tail_inserts_since_sweep > self.spec.rows_per_shard
@@ -599,11 +582,11 @@ impl ShardedExtent {
         let mut i = 0usize;
         while i + 1 < self.shards.len() {
             let (l_end, l_sealed, l_live) = {
-                let sh = self.shards[i].get_mut();
+                let sh = &self.shards[i];
                 (sh.end(), sh.is_sealed(), sh.store().live_count() as u64)
             };
             let (r_base, r_sealed, r_live) = {
-                let sh = self.shards[i + 1].get_mut();
+                let sh = &self.shards[i + 1];
                 (sh.base(), sh.is_sealed(), sh.store().live_count() as u64)
             };
             let contiguous = l_end == r_base;
@@ -616,7 +599,7 @@ impl ShardedExtent {
             match self.merged_shard(i) {
                 Ok(merged) => {
                     self.shards.remove(i + 1);
-                    self.shards[i] = OrderedRwLock::new(&hierarchy::SHARDS, merged);
+                    self.shards[i] = merged;
                     self.shards_merged += 1;
                     // Stay at `i`: the merged shard may absorb the next
                     // neighbor too.
@@ -638,8 +621,8 @@ impl ShardedExtent {
     /// construction, and carries the union of both summaries — exact
     /// whenever both inputs were exact, conservative otherwise.
     fn merged_shard(&self, i: usize) -> Result<Shard> {
-        let left = self.shards[i].read();
-        let right = self.shards[i + 1].read();
+        let left = &self.shards[i];
+        let right = &self.shards[i + 1];
         let base = left.base();
         let capacity = right.end() - base;
         let mut store =
@@ -679,9 +662,7 @@ impl ShardedExtent {
 
     /// Publishes a sealed MVCC snapshot of the extent's current state.
     ///
-    /// Exclusive access (`&mut self`, already held by any caller holding
-    /// the container write lock) means no per-shard locking happens here:
-    /// each shard hands over its copy-on-write store (a cached `Arc` when
+    /// Each shard hands over its copy-on-write store (a cached `Arc` when
     /// the shard is clean since the last publish, one clone when dirty)
     /// plus its exact summary. The snapshot shares the extent's
     /// `shards_pruned` gauge.
@@ -689,14 +670,11 @@ impl ShardedExtent {
         let shards = self
             .shards
             .iter_mut()
-            .map(|lock| {
-                let sh = lock.get_mut();
-                SnapshotShard {
-                    base: sh.base(),
-                    end: sh.end(),
-                    ranges: sh.ranges(),
-                    store: sh.snapshot_store(),
-                }
+            .map(|sh| SnapshotShard {
+                base: sh.base(),
+                end: sh.end(),
+                ranges: sh.ranges(),
+                store: sh.snapshot_store(),
             })
             .collect();
         ExtentSnapshot::new(self.schema.clone(), shards, self.shards_pruned.clone())
@@ -712,8 +690,7 @@ impl ShardedExtent {
             shards: self
                 .shards
                 .iter()
-                .map(|lock| {
-                    let sh = lock.read();
+                .map(|sh| {
                     let r = sh.ranges();
                     ShardRecord {
                         base: sh.base(),
@@ -771,8 +748,7 @@ impl ShardedExtent {
             shards: self
                 .shards
                 .iter()
-                .map(|lock| {
-                    let sh = lock.read();
+                .map(|sh| {
                     let r = sh.ranges();
                     ShardManifest {
                         base: sh.base(),
@@ -795,8 +771,7 @@ impl ShardedExtent {
         &self,
         mut f: impl FnMut(u64, &TableStore) -> Result<()>,
     ) -> Result<()> {
-        for lock in &self.shards {
-            let sh = lock.read();
+        for sh in &self.shards {
             f(sh.base(), sh.store())?;
         }
         Ok(())
@@ -852,7 +827,7 @@ impl ShardedExtent {
                 record.max_tick,
             )?;
             prev_end = shard.end();
-            shards.push(OrderedRwLock::new(&hierarchy::SHARDS, shard));
+            shards.push(shard);
         }
         if manifest.next_id < prev_end {
             return Err(fungus_types::FungusError::CorruptSnapshot(format!(
@@ -901,11 +876,11 @@ impl ShardedExtent {
         let mut idx = 0usize;
         while idx < self.shards.len() {
             let dead_sealed = {
-                let sh = self.shards[idx].get_mut();
+                let sh = &self.shards[idx];
                 sh.is_sealed() && sh.store().live_count() == 0
             };
             if dead_sealed {
-                let shard = self.shards.remove(idx).into_inner();
+                let shard = self.shards.remove(idx);
                 report.segments_dropped += shard.store().segments().len();
                 report.bytes_reclaimed += shard
                     .store()
@@ -917,7 +892,7 @@ impl ShardedExtent {
                 debug_assert!(evicted.is_empty(), "dead shard had live tuples");
                 continue;
             }
-            let sub = self.shards[idx].get_mut().store_mut().compact();
+            let sub = self.shards[idx].store_mut().compact();
             report.segments_dropped += sub.segments_dropped;
             report.segments_compacted += sub.segments_compacted;
             report.bytes_reclaimed += sub.bytes_reclaimed;
@@ -930,7 +905,7 @@ impl ShardedExtent {
     pub fn cure_all(&mut self) -> usize {
         self.shards
             .iter_mut()
-            .map(|l| l.get_mut().store_mut().cure_all())
+            .map(|s| s.store_mut().cure_all())
             .sum()
     }
 
@@ -941,8 +916,7 @@ impl ShardedExtent {
         let mut min_fresh = f64::INFINITY;
         let mut sum_age = 0.0;
         let mut n = 0usize;
-        for lock in &self.shards {
-            let sh = lock.read();
+        for sh in &self.shards {
             for t in sh.store().iter_live() {
                 let f = t.meta.freshness.get();
                 hist.observe(f);
@@ -977,8 +951,8 @@ impl ShardedExtent {
     /// as one hole of its full width.
     pub fn census(&self) -> SpotCensus {
         let mut out = SpotCensus::default();
-        for lock in &self.shards {
-            let c = SpotCensus::collect(lock.read().store());
+        for sh in &self.shards {
+            let c = SpotCensus::collect(sh.store());
             out.infected_spots += c.infected_spots;
             out.largest_infected_spot = out.largest_infected_spot.max(c.largest_infected_spot);
             out.infected_total += c.infected_total;
@@ -1001,8 +975,8 @@ impl ShardedExtent {
     /// future).
     pub fn create_index(&mut self, column: &str) -> Result<()> {
         self.ensure_tail()?;
-        for lock in &mut self.shards {
-            lock.get_mut().store_mut().create_index(column)?;
+        for sh in &mut self.shards {
+            sh.store_mut().create_index(column)?;
         }
         self.hash_indexed.push(column.to_string());
         Ok(())
@@ -1012,8 +986,8 @@ impl ShardedExtent {
     /// and future).
     pub fn create_ord_index(&mut self, column: &str) -> Result<()> {
         self.ensure_tail()?;
-        for lock in &mut self.shards {
-            lock.get_mut().store_mut().create_ord_index(column)?;
+        for sh in &mut self.shards {
+            sh.store_mut().create_ord_index(column)?;
         }
         self.ord_indexed.push(column.to_string());
         Ok(())
@@ -1037,7 +1011,7 @@ impl ShardedExtent {
         loop {
             let next_drop = self.dropped.get(di);
             let take_drop = match (next_drop, si < self.shards.len()) {
-                (Some(d), true) => d.base < self.shards[si].read().base(),
+                (Some(d), true) => d.base < self.shards[si].base(),
                 (Some(_), false) => true,
                 (None, true) => false,
                 (None, false) => break,
@@ -1054,7 +1028,7 @@ impl ShardedExtent {
                     out.tombstone_restored(reason)?;
                 }
             } else {
-                let sh = self.shards[si].read();
+                let sh = &self.shards[si];
                 si += 1;
                 replay_store(&mut out, sh.store())?;
             }
@@ -1113,22 +1087,22 @@ impl ShardedExtent {
         // Replay double-counts evictions (the source counters already
         // include them): zero the per-shard replicas and fold the exact
         // originals instead.
-        for lock in &mut ext.shards {
-            lock.get_mut().store_mut().set_counters(0, 0, 0, 0);
+        for sh in &mut ext.shards {
+            sh.store_mut().set_counters(0, 0, 0, 0);
         }
         ext.folded_rotted = store.evicted_rotted();
         ext.folded_consumed = store.evicted_consumed();
         ext.folded_deleted = store.evicted_deleted();
         ext.folded_rotted_unread = store.rotted_unread();
-        for lock in &mut ext.shards {
-            lock.get_mut().recompute_bounds();
+        for sh in &mut ext.shards {
+            sh.recompute_bounds();
         }
         Ok(ext)
     }
 
     fn restore_live(&mut self, tuple: Tuple) -> Result<()> {
         self.ensure_tail()?;
-        let sh = self.shards.last_mut().expect("tail exists").get_mut();
+        let sh = self.shards.last_mut().expect("tail exists");
         sh.store_mut().insert_restored(tuple)?;
         self.next_id += 1;
         Ok(())
@@ -1136,16 +1110,16 @@ impl ShardedExtent {
 
     fn restore_tombstone(&mut self, reason: TombstoneReason) -> Result<()> {
         self.ensure_tail()?;
-        let sh = self.shards.last_mut().expect("tail exists").get_mut();
+        let sh = self.shards.last_mut().expect("tail exists");
         sh.store_mut().tombstone_restored(reason)?;
         self.next_id += 1;
         Ok(())
     }
 
     fn prev_live(&self, id: TupleId) -> Option<TupleId> {
-        let pos = self.shards.partition_point(|l| l.read().base() < id.get());
+        let pos = self.shards.partition_point(|s| s.base() < id.get());
         for j in (0..pos).rev() {
-            let sh = self.shards[j].read();
+            let sh = &self.shards[j];
             if sh.store().live_count() == 0 {
                 continue;
             }
@@ -1158,11 +1132,8 @@ impl ShardedExtent {
 
     fn next_live(&self, id: TupleId) -> Option<TupleId> {
         let start = id.succ();
-        let pos = self
-            .shards
-            .partition_point(|l| l.read().end() <= start.get());
-        for lock in &self.shards[pos..] {
-            let sh = lock.read();
+        let pos = self.shards.partition_point(|s| s.end() <= start.get());
+        for sh in &self.shards[pos..] {
             if sh.store().live_count() == 0 {
                 continue;
             }
@@ -1211,8 +1182,7 @@ impl DecaySurface for ShardedExtent {
     }
 
     fn for_each_live_meta(&self, f: &mut dyn FnMut(TupleId, &TupleMeta)) {
-        for lock in &self.shards {
-            let sh = lock.read();
+        for sh in &self.shards {
             for t in sh.store().iter_live() {
                 f(t.meta.id, &t.meta);
             }
@@ -1221,12 +1191,12 @@ impl DecaySurface for ShardedExtent {
 
     fn meta(&self, id: TupleId) -> Option<TupleMeta> {
         let i = self.locate(id)?;
-        self.shards[i].read().store().get(id).map(|t| t.meta)
+        self.shards[i].store().get(id).map(|t| t.meta)
     }
 
     fn decay(&mut self, id: TupleId, amount: f64) -> Option<Freshness> {
         let i = self.locate(id)?;
-        let sh = self.shards[i].get_mut();
+        let sh = &mut self.shards[i];
         let f = sh.store_mut().decay(id, amount)?;
         sh.note_freshness(f.get());
         Some(f)
@@ -1234,7 +1204,7 @@ impl DecaySurface for ShardedExtent {
 
     fn scale_freshness(&mut self, id: TupleId, factor: f64) -> Option<Freshness> {
         let i = self.locate(id)?;
-        let sh = self.shards[i].get_mut();
+        let sh = &mut self.shards[i];
         let f = sh.store_mut().scale_freshness(id, factor)?;
         sh.note_freshness(f.get());
         Some(f)
@@ -1243,7 +1213,7 @@ impl DecaySurface for ShardedExtent {
     fn infect(&mut self, id: TupleId, now: Tick) -> bool {
         match self.locate(id) {
             Some(i) => {
-                let sh = self.shards[i].get_mut();
+                let sh = &mut self.shards[i];
                 let hit = sh.store_mut().infect(id, now);
                 if hit {
                     sh.mark_dirty();
@@ -1256,15 +1226,15 @@ impl DecaySurface for ShardedExtent {
 
     fn cure(&mut self, id: TupleId) -> bool {
         match self.locate(id) {
-            Some(i) => self.shards[i].get_mut().store_mut().cure(id),
+            Some(i) => self.shards[i].store_mut().cure(id),
             None => false,
         }
     }
 
     fn infected_ids(&self) -> Vec<TupleId> {
         let mut out = Vec::new();
-        for lock in &self.shards {
-            out.extend(lock.read().store().infected_ids());
+        for sh in &self.shards {
+            out.extend(sh.store().infected_ids());
         }
         out
     }
@@ -1278,7 +1248,7 @@ impl DecaySurface for ShardedExtent {
         // output is bit-identical to the default single-pass gather, so
         // EGI's draws are layout-independent.
         let per: Vec<Vec<(TupleId, f64)>> = self.pool.run(self.shards.len(), |i| {
-            let sh = self.shards[i].read();
+            let sh = &self.shards[i];
             sh.store()
                 .iter_live()
                 .filter(|t| !t.meta.infected)
@@ -1300,7 +1270,7 @@ impl QueryExtent for ShardedExtent {
 
     fn scan(&self, plan: &LogicalPlan, now: Tick) -> Result<ScanOutcome> {
         let per: Vec<Result<ShardScan>> = self.pool.run(self.shards.len(), |i| {
-            let sh = self.shards[i].read();
+            let sh = &self.shards[i];
             if sh.store().live_count() == 0 {
                 return Ok(ShardScan::Empty);
             }
@@ -1329,36 +1299,36 @@ impl QueryExtent for ShardedExtent {
 
     fn tuple(&mut self, id: TupleId) -> Option<&Tuple> {
         let i = self.locate(id)?;
-        self.shards[i].get_mut().store().get(id)
+        self.shards[i].store().get(id)
     }
 
     fn delete(&mut self, id: TupleId, reason: TombstoneReason) -> Option<Tuple> {
         let i = self.locate(id)?;
-        self.shards[i].get_mut().store_mut().delete(id, reason)
+        self.shards[i].store_mut().delete(id, reason)
     }
 
     fn touch(&mut self, id: TupleId, now: Tick) {
         if let Some(i) = self.locate(id) {
-            self.shards[i].get_mut().store_mut().touch(id, now);
+            self.shards[i].store_mut().touch(id, now);
         }
     }
 
     fn insert(&mut self, values: Vec<Value>, now: Tick) -> Result<TupleId> {
         self.ensure_tail()?;
         let idx = self.shards.len() - 1;
-        let sh = self.shards[idx].get_mut();
+        let sh = &mut self.shards[idx];
         let id = sh.store_mut().insert(values, now)?;
         sh.note_insert(now);
         self.next_id += 1;
         self.tail_inserts_since_sweep += 1;
-        debug_assert_eq!(self.shards[idx].get_mut().end(), self.next_id);
+        debug_assert_eq!(self.shards[idx].end(), self.next_id);
         Ok(id)
     }
 
     fn live_ids(&self) -> Vec<TupleId> {
         let mut out = Vec::new();
-        for lock in &self.shards {
-            out.extend(lock.read().store().iter_live().map(|t| t.meta.id));
+        for sh in &self.shards {
+            out.extend(sh.store().iter_live().map(|t| t.meta.id));
         }
         out
     }
@@ -1789,7 +1759,7 @@ mod tests {
         assert_eq!(back.shards_restored(), back.shard_count() as u64);
         // RNG streams re-derive identically.
         for (a, b) in ext.shards.iter().zip(back.shards.iter()) {
-            assert_eq!(a.read().rng_seed(), b.read().rng_seed());
+            assert_eq!(a.rng_seed(), b.rng_seed());
         }
         // And the restored extent behaves identically from here on.
         let mut back = back;

@@ -1,8 +1,9 @@
 //! # fungus-shard
 //!
-//! Time-range sharded container extents. A relation's extent becomes an
+//! Time-range sharded container extents. A relation's extent is an
 //! ordered set of **shards** — contiguous slices of the insertion-time
-//! axis — each behind its own lock with its own freshness/zone summary:
+//! axis — each with its own freshness/zone summary (one never-sealing
+//! shard when the container declares no sharding clause):
 //!
 //! - **Pruning:** scans skip whole shards via per-shard min/max tick, id,
 //!   and freshness bounds before touching tuples (segment zone maps still

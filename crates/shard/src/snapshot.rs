@@ -1,8 +1,8 @@
 //! Sealed copy-on-write snapshots of a sharded extent.
 //!
 //! [`ExtentSnapshot`] is the read-only twin of [`ShardedExtent`]: the same
-//! shard boundaries and summaries, but every store behind an `Arc` instead
-//! of a lock. It implements [`ReadExtent`], so `execute_readonly` answers
+//! shard boundaries and summaries, but every store behind an `Arc`. It
+//! implements [`ReadExtent`], so `execute_readonly` answers
 //! `SELECT` (without `CONSUME`) against it with **no locks at all** —
 //! readers holding a snapshot never contend with decay ticks or consumers
 //! mutating the live extent.
@@ -64,35 +64,6 @@ impl ExtentSnapshot {
         }
     }
 
-    /// A single-shard snapshot around one monolithic store (the container
-    /// layouts without a [`ShardSpec`] publish through this).
-    ///
-    /// [`ShardSpec`]: crate::ShardSpec
-    pub fn monolithic(schema: Schema, store: Arc<TableStore>) -> Self {
-        let end = store.next_id().get();
-        let shard = SnapshotShard {
-            base: 0,
-            end,
-            // An envelope that cannot prune: monolithic extents have no
-            // maintained summary, so the snapshot scans unconditionally
-            // (matching the live mono scan, which has no shard pruning).
-            ranges: MetaRanges {
-                min_id: 0,
-                max_id: end.saturating_sub(1),
-                min_tick: 0,
-                max_tick: u64::MAX,
-                freshness_lo: 0.0,
-                freshness_hi: 1.0,
-            },
-            store,
-        };
-        ExtentSnapshot {
-            schema,
-            shards: vec![shard],
-            pruned: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
     /// Live tuples across the snapshot's shards.
     pub fn live_count(&self) -> usize {
         self.shards.iter().map(|s| s.store.live_count()).sum()
@@ -145,17 +116,27 @@ impl ReadExtent for ExtentSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ShardSpec, ShardedExtent};
+    use fungus_clock::DeterministicRng;
+    use fungus_query::QueryExtent;
     use fungus_storage::StorageConfig;
     use fungus_types::{DataType, Value};
 
     #[test]
     fn monolithic_snapshot_answers_point_reads() {
         let schema = Schema::from_pairs(&[("v", DataType::Int)]).unwrap();
-        let mut store = TableStore::new(schema.clone(), StorageConfig::for_tests()).unwrap();
+        let mut ext = ShardedExtent::new(
+            schema,
+            StorageConfig::for_tests(),
+            ShardSpec::default(),
+            &DeterministicRng::new(1),
+        )
+        .unwrap();
         for i in 0..5i64 {
-            store.insert(vec![Value::Int(i)], Tick(i as u64)).unwrap();
+            ext.insert(vec![Value::Int(i)], Tick(i as u64)).unwrap();
         }
-        let snap = ExtentSnapshot::monolithic(schema, Arc::new(store));
+        let snap = ext.publish_snapshot();
+        assert_eq!(snap.shard_count(), 1);
         assert_eq!(snap.live_count(), 5);
         assert_eq!(
             snap.peek(TupleId(3)).unwrap().values[0],

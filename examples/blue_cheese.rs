@@ -10,13 +10,14 @@
 //! ```
 
 use spacefungus::fungus_core::Container;
+use spacefungus::fungus_storage::DecaySurface;
 use spacefungus::prelude::*;
 
 const EXTENT: u64 = 4_000;
 const STRIP: usize = 100; // terminal cells; each covers EXTENT/STRIP tuples
 
 fn render_strip(container: &Container) -> String {
-    let store = container.store();
+    let extent = container.extent();
     let bucket = (EXTENT as usize / STRIP).max(1);
     // Classify each bucket by the worst state inside it.
     let mut cells = vec![' '; STRIP];
@@ -28,9 +29,9 @@ fn render_strip(container: &Container) -> String {
         let mut total = 0usize;
         for id in lo..hi {
             total += 1;
-            if let Some(t) = store.get(TupleId(id)) {
+            if let Some(meta) = extent.meta(TupleId(id)) {
                 live += 1;
-                if t.meta.infected {
+                if meta.infected {
                     infected += 1;
                 }
             }

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release --example serve -- [--port N] [--tick-ms N]
 //!     [--workers N] [--seed N] [--ddl script.sql] [--checkpoint DIR]
-//!     [--fault-seed N] [--shards N] [--reactor]
+//!     [--fault-seed N] [--reactor]
 //! ```
 //!
 //! Binds a TCP listener, spawns the worker pool and the wall-clock decay
@@ -11,15 +11,9 @@
 //! `fungus_server::Client` or the E11 load generator. Without `--ddl` it
 //! creates a demo `sensors` container.
 //!
-//! `--shards N` is sugar for adding `WITH SHARDING (rows_per_shard = N)`
-//! to every container the DDL script creates: decay fans out per shard,
-//! scans prune whole shards by tick/freshness bounds, and fully rotted
-//! shards detach in O(1). Answers are bit-identical to the unsharded
-//! layout under the same seed; the shard gauges show up in `.stats`.
-//! Prefer declaring sharding in the DDL itself (`SHARDS n`, or the full
-//! `WITH SHARDING (rows_per_shard = n, adaptive = on, …)` form for the
-//! adaptive split/merge lifecycle) — the flag survives for scripts that
-//! predate the clause and touches only containers the DDL left unsharded.
+//! Shard layouts are declared in the DDL (`SHARDS n`, or the full
+//! `WITH SHARDING (rows_per_shard = n, adaptive = on, …)` form); the shard
+//! gauges show up in `.stats`.
 //!
 //! `--fault-seed N` arms the chaos fault plan: every connection's streams
 //! get a deterministic schedule (seeded by N) of torn writes, transient
@@ -47,8 +41,7 @@
 
 use std::time::{Duration, Instant};
 
-use spacefungus::fungus_core::{resolve_sharding, Database, SharedDatabase};
-use spacefungus::fungus_query::ShardingClause;
+use spacefungus::fungus_core::{Database, SharedDatabase};
 use spacefungus::fungus_server::{
     serve, Client, ClientError, FaultPlan, IoModel, RetryPolicy, ServerConfig,
 };
@@ -65,7 +58,6 @@ struct Args {
     workers: usize,
     seed: u64,
     fault_seed: Option<u64>,
-    shards: Option<u64>,
     ddl: Option<String>,
     checkpoint: Option<std::path::PathBuf>,
     smoke: bool,
@@ -79,7 +71,6 @@ fn parse_args() -> Args {
         workers: 8,
         seed: 42,
         fault_seed: None,
-        shards: None,
         ddl: None,
         checkpoint: None,
         smoke: false,
@@ -96,9 +87,6 @@ fn parse_args() -> Args {
             "--fault-seed" => {
                 args.fault_seed = Some(value("--fault-seed").parse().expect("--fault-seed: u64"))
             }
-            "--shards" => {
-                args.shards = Some(value("--shards").parse().expect("--shards: rows per shard"))
-            }
             "--ddl" => {
                 let path = value("--ddl");
                 args.ddl = Some(std::fs::read_to_string(&path).expect("read DDL script"));
@@ -109,7 +97,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: serve [--port N] [--tick-ms N] [--workers N] [--seed N] \
-                     [--fault-seed N] [--shards N] [--ddl FILE] [--checkpoint DIR] \
+                     [--fault-seed N] [--ddl FILE] [--checkpoint DIR] \
                      [--reactor] [--smoke]"
                 );
                 std::process::exit(0);
@@ -127,10 +115,6 @@ fn main() {
     let script = args.ddl.as_deref().unwrap_or(DEFAULT_DDL);
     for outcome in db.execute_script(script).expect("DDL script failed") {
         drop(outcome);
-    }
-    if let Some(rows_per_shard) = args.shards {
-        apply_sharding(&db, rows_per_shard);
-        eprintln!("sharding: time-range shards of {rows_per_shard} rows");
     }
     eprintln!("containers: {:?}", db.container_names());
 
@@ -168,37 +152,6 @@ fn main() {
     // un-checkpointed state, which the paper says is rotting anyway.)
     loop {
         std::thread::sleep(Duration::from_secs(3600));
-    }
-}
-
-/// Re-creates every (still empty, just-DDL'd) container that the script
-/// left unsharded, as if its `CREATE CONTAINER` had carried
-/// `WITH SHARDING (rows_per_shard = N)` — the flag is boot-time sugar for
-/// the DDL clause and goes through the same [`resolve_sharding`] path, so
-/// defaults live in one place. Containers the DDL already sharded keep
-/// their declared layout.
-fn apply_sharding(db: &SharedDatabase, rows_per_shard: u64) {
-    let spec = resolve_sharding(&ShardingClause {
-        rows_per_shard,
-        adaptive: None,
-        low_water: None,
-        workers: None,
-    })
-    .expect("--shards: invalid shard spec");
-    let mut guard = db.write();
-    for name in guard.container_names() {
-        let (schema, policy) = {
-            let c = guard.container(&name).expect("container just listed");
-            let g = c.read();
-            if g.policy().sharding.is_some() {
-                continue; // the DDL's own clause wins
-            }
-            (g.schema().clone(), g.policy().clone())
-        };
-        guard.drop_container(&name);
-        guard
-            .create_container(name, schema, policy.with_sharding(spec))
-            .expect("re-create container with sharding");
     }
 }
 

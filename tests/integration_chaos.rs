@@ -75,7 +75,7 @@ fn insert_rows(op: &ClientOp) -> u64 {
 }
 
 /// The chaos scenario, parameterised over the extent layout and the
-/// server's I/O model: `None` runs the monolithic store, `Some(clause)`
+/// server's I/O model: `None` runs the default one-shard layout, `Some(clause)`
 /// appends the given DDL sharding clause (`SHARDS n` / `WITH SHARDING
 /// (…)`) to the `CREATE CONTAINER`. Every invariant in the module doc
 /// must hold for every layout on both connection layers.
@@ -223,7 +223,7 @@ fn run_chaos_plan(sharding_clause: Option<&str>, io: IoModel) {
 
     if let Some(clause) = sharding_clause {
         // The storm really ran against a sharded extent, not a layout
-        // that silently fell back to monolithic.
+        // that silently fell back to one shard.
         let guard = handle.db().write();
         let c = guard.container("r").expect("container survived chaos");
         let shards = c.read().shard_count();
@@ -345,7 +345,7 @@ fn adaptive_chaos_checkpoint_loses_no_committed_writes() {
         guard.checkpoint(&dir).expect("mid-run checkpoint");
         let c = guard.container("r").expect("container alive");
         let g = c.read();
-        let ext = g.extent().as_sharded().expect("adaptive extent is sharded");
+        let ext = g.extent();
         assert!(
             ext.shard_count() >= 2,
             "wave one left too few shards to make the round-trip interesting"
@@ -379,7 +379,7 @@ fn adaptive_chaos_checkpoint_loses_no_committed_writes() {
     let c = restored.container("r").expect("restored container");
     {
         let g = c.read();
-        let ext = g.extent().as_sharded().expect("restored extent is sharded");
+        let ext = g.extent();
         assert_eq!(
             skeleton(&ext.structure()),
             skeleton_at_checkpoint,

@@ -5,6 +5,7 @@
 //! This is the property every experiment in EXPERIMENTS.md leans on.
 
 use spacefungus::fungus_core::RouteSpec;
+use spacefungus::fungus_query::QueryExtent;
 use spacefungus::prelude::*;
 
 /// A full-stack session: two containers, EGI + TTL, a rot route, two
@@ -70,7 +71,7 @@ fn fingerprint(db: &Database) -> Vec<(String, usize, u64, u64, u64, Vec<u64>)> {
         .map(|name| {
             let c = db.container(&name).unwrap();
             let g = c.read();
-            let live_ids: Vec<u64> = g.store().iter_live().map(|t| t.meta.id.get()).collect();
+            let live_ids: Vec<u64> = g.extent().live_ids().iter().map(|id| id.get()).collect();
             (
                 name,
                 g.live_count(),
@@ -151,7 +152,7 @@ fn snapshot_restore_then_identical_future() {
     let ids = |db: &Database| -> Vec<u64> {
         let c = db.container("r").unwrap();
         let g = c.read();
-        g.store().iter_live().map(|t| t.meta.id.get()).collect()
+        g.extent().live_ids().iter().map(|id| id.get()).collect()
     };
     assert_eq!(ids(&original), ids(&restored));
     assert_eq!(original.now(), restored.now());

@@ -114,7 +114,7 @@ fn the_full_surface_in_one_session() {
     let c = db.container("events").unwrap();
     let guard = c.read();
     assert_eq!(guard.metrics().tuples_consumed, consumed as u64);
-    assert!(guard.store().evicted_deleted() > 0);
+    assert!(guard.extent().evicted_deleted() > 0);
     assert!(guard.live_count() < before - consumed);
 }
 

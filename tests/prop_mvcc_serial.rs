@@ -1,14 +1,14 @@
 //! Property harness for the MVCC serializability guarantee: any
 //! interleaving of snapshot reads, consuming reads, inserts, and decay
 //! ticks over an MVCC catalog is observationally equivalent to the same
-//! history under the fully locked monolithic semantics — the oracle.
+//! history under the fully locked one-shard semantics — the oracle.
 //!
 //! Under MVCC, non-consuming `SELECT`s resolve against the latest sealed
 //! snapshot (never the container lock), `CONSUME` runs the optimistic
 //! read-own-snapshot / write-live / retry-on-epoch-advance protocol, and
 //! decay ticks republish the version they mutate. None of that machinery
 //! may move an answer: every query's rows, every consumed set, and the
-//! surviving extent must match the locked monolithic run bit-for-bit.
+//! surviving extent must match the locked one-shard run bit-for-bit.
 //!
 //! Deliberately *excluded* from the observables: the engine's query
 //! counter (pure snapshot reads are counted in MVCC telemetry, not
@@ -57,21 +57,19 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// The shard layouts the MVCC run is exercised over. `None` = monolithic;
-/// the adaptive spec keeps split/merge on the hot path so republication
-/// interleaves with shard lifecycle.
-fn layouts(inserts: u64) -> Vec<Option<ShardSpec>> {
+/// The shard layouts the MVCC run is exercised over, the default
+/// one-shard layout first; the adaptive spec keeps split/merge on the hot
+/// path so republication interleaves with shard lifecycle.
+fn layouts(inserts: u64) -> Vec<ShardSpec> {
     let quarter = (inserts / 4).max(1);
     vec![
-        None,
-        Some(ShardSpec::new(quarter).with_workers(1)),
-        Some(ShardSpec::new((inserts / 16).max(1)).with_workers(1)),
-        Some(
-            ShardSpec::new(6)
-                .with_workers(1)
-                .with_adaptive()
-                .with_low_water(0.5),
-        ),
+        ShardSpec::default(),
+        ShardSpec::new(quarter).with_workers(1),
+        ShardSpec::new((inserts / 16).max(1)).with_workers(1),
+        ShardSpec::new(6)
+            .with_workers(1)
+            .with_adaptive()
+            .with_low_water(0.5),
     ]
 }
 
@@ -84,12 +82,9 @@ fn fungus() -> FungusSpec {
     })
 }
 
-fn build(seed: u64, mvcc: bool, spec: Option<ShardSpec>) -> Database {
+fn build(seed: u64, mvcc: bool, spec: ShardSpec) -> Database {
     let schema = Schema::from_pairs(&[("v", DataType::Int)]).unwrap();
-    let mut policy = ContainerPolicy::new(fungus());
-    if let Some(spec) = spec {
-        policy = policy.with_sharding(spec);
-    }
+    let mut policy = ContainerPolicy::new(fungus()).with_sharding(spec);
     if !mvcc {
         policy = policy.without_mvcc();
     }
@@ -114,7 +109,7 @@ struct Observed {
     survivors: Vec<Vec<Value>>,
 }
 
-fn run_workload(ops: &[Op], seed: u64, mvcc: bool, spec: Option<ShardSpec>) -> Observed {
+fn run_workload(ops: &[Op], seed: u64, mvcc: bool, spec: ShardSpec) -> Observed {
     let db = build(seed, mvcc, spec);
     let mut out = Observed {
         answers: Vec::new(),
@@ -191,25 +186,21 @@ fn run_workload(ops: &[Op], seed: u64, mvcc: bool, spec: Option<ShardSpec>) -> O
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The MVCC read/consume/decay machinery over monolithic, fixed-shard,
+    /// The MVCC read/consume/decay machinery over one-shard, fixed-shard,
     /// and adaptive layouts observes the exact history of the locked
-    /// monolithic oracle, case after case.
+    /// one-shard oracle, case after case.
     #[test]
     fn mvcc_histories_serialize_against_the_locked_oracle(
         ops in proptest::collection::vec(arb_op(), 1..60),
         seed in 0u64..1_000,
     ) {
         let inserts = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count() as u64;
-        let oracle = run_workload(&ops, seed, false, None);
+        let oracle = run_workload(&ops, seed, false, ShardSpec::default());
         for spec in layouts(inserts) {
-            let label = match &spec {
-                None => "mono".to_string(),
-                Some(s) => format!("{s:?}"),
-            };
             let mvcc = run_workload(&ops, seed, true, spec);
             prop_assert_eq!(
                 &oracle, &mvcc,
-                "mvcc layout {} diverged from the locked oracle", label
+                "mvcc layout {:?} diverged from the locked oracle", spec
             );
         }
     }
@@ -221,7 +212,7 @@ proptest! {
     /// Version reclamation under pinning: however many snapshots a
     /// history pins and drops, once every handle is gone the retired
     /// list drains to zero — retired == reclaimed at quiescence, across
-    /// monolithic, 4- and 16-shard layouts.
+    /// one-, 4- and 16-shard layouts.
     #[test]
     fn retired_versions_reclaim_at_quiescence(
         ops in proptest::collection::vec(arb_op(), 10..60),
@@ -229,10 +220,10 @@ proptest! {
         shards in prop_oneof![Just(0u64), Just(4), Just(16)],
     ) {
         let spec = if shards == 0 {
-            None
+            ShardSpec::default()
         } else {
             let inserts = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count() as u64;
-            Some(ShardSpec::new((inserts / shards).max(1)).with_workers(1))
+            ShardSpec::new((inserts / shards).max(1)).with_workers(1)
         };
         let db = build(seed, true, spec);
         let mut pins = Vec::new();

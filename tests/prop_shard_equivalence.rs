@@ -1,7 +1,9 @@
 //! Property test for the shard-layout equivalence guarantee: under the
 //! same seed and the same interleaved workload, a container sharded into
 //! 1, 4, or 16 time-range shards returns *identical* query results and
-//! evicts *identical* tuple sets as the monolithic layout, tick for tick.
+//! evicts *identical* tuple sets as the default one-shard layout, tick for
+//! tick. (The bare-`TableStore` reference lives in `fungus-shard`'s unit
+//! tests; here the never-sealing shard is the container-level oracle.)
 //!
 //! This is the contract that makes sharding a pure layout decision: EGI's
 //! seed draws stay on the container's single RNG stream over the globally
@@ -49,19 +51,17 @@ struct Observed {
     survivors: Vec<(u64, Vec<Value>)>,
 }
 
-fn run_workload(ops: &[Op], seed: u64, spec: Option<ShardSpec>) -> Observed {
+fn run_workload(ops: &[Op], seed: u64, spec: ShardSpec) -> Observed {
     let schema = Schema::from_pairs(&[("v", DataType::Int)]).unwrap();
     // A fungus aggressive enough that short op sequences still rot: two
     // age-biased seeds per tick, half-freshness bites, narrow spread.
-    let mut policy = ContainerPolicy::new(FungusSpec::Egi(EgiConfig {
+    let policy = ContainerPolicy::new(FungusSpec::Egi(EgiConfig {
         seeds_per_tick: 2,
         seed_bias: SeedBias::AgePow(2.0),
         rot_rate: 0.5,
         spread_width: 2,
-    }));
-    if let Some(spec) = spec {
-        policy = policy.with_sharding(spec);
-    }
+    }))
+    .with_sharding(spec);
     let rng = DeterministicRng::new(seed);
     let mut c = Container::new("t", schema, policy, &rng).unwrap();
 
@@ -131,8 +131,8 @@ fn run_workload(ops: &[Op], seed: u64, spec: Option<ShardSpec>) -> Observed {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Monolithic, fixed 1/4/16-shard, and adaptive layouts all observe
-    /// identical histories. The adaptive specs put the lifecycle on the
+    /// Default (one never-sealing shard), fixed 1/4/16-shard, and adaptive
+    /// layouts all observe identical histories. The adaptive specs put the lifecycle on the
     /// hot path: small shards with a high low-water mark so bursty insert
     /// runs split the tail and rot-hollowed neighbors merge mid-history —
     /// and none of it may move a single answer or eviction.
@@ -142,11 +142,11 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let inserts = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count() as u64;
-        let mono = run_workload(&ops, seed, None);
+        let mono = run_workload(&ops, seed, ShardSpec::default());
         for shards in [1u64, 4, 16] {
             let rows_per_shard = (inserts / shards).max(1);
             let spec = ShardSpec::new(rows_per_shard).with_workers(1);
-            let sharded = run_workload(&ops, seed, Some(spec));
+            let sharded = run_workload(&ops, seed, spec);
             prop_assert_eq!(
                 &mono, &sharded,
                 "layout with ~{} shards diverged from monolithic", shards
@@ -158,7 +158,7 @@ proptest! {
                 .with_workers(1)
                 .with_adaptive()
                 .with_low_water(low_water);
-            let adaptive = run_workload(&ops, seed, Some(spec));
+            let adaptive = run_workload(&ops, seed, spec);
             prop_assert_eq!(
                 &mono, &adaptive,
                 "adaptive layout (rows {}, low water {}) diverged from monolithic",
@@ -172,74 +172,77 @@ proptest! {
     // Checkpointing hits the filesystem per case; fewer, richer cases.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A checkpoint of an adaptive sharded database restores the *exact*
-    /// shard structure — boundaries, capacities, summaries, dirty flags,
-    /// dropped-range memory, and lifecycle counters — not merely an
-    /// equivalent extent, and the restored database continues decaying
-    /// bit-identically.
+    /// A checkpoint of an adaptive sharded database — and of a default
+    /// (no sharding clause) one — restores the *exact* shard structure:
+    /// boundaries, capacities, summaries, dirty flags, dropped-range
+    /// memory, and lifecycle counters, not merely an equivalent extent,
+    /// and the restored database continues decaying bit-identically.
     #[test]
     fn adaptive_checkpoints_roundtrip_shard_structure(
         ops in proptest::collection::vec(arb_op(), 20..120),
         seed in 0u64..1_000,
     ) {
-        let schema = Schema::from_pairs(&[("v", DataType::Int)]).unwrap();
-        let policy = ContainerPolicy::new(FungusSpec::Egi(EgiConfig {
-            seeds_per_tick: 2,
-            seed_bias: SeedBias::AgePow(2.0),
-            rot_rate: 0.5,
-            spread_width: 2,
-        }))
-        .with_sharding(ShardSpec::new(6).with_workers(1).with_adaptive().with_low_water(0.5));
-        let mut db = Database::new(seed);
-        db.create_container("t", schema, policy).unwrap();
-        for op in &ops {
-            match op {
-                Op::Insert(v) => {
-                    db.execute(&format!("INSERT INTO t VALUES ({v})")).unwrap();
+        let adaptive = ShardSpec::new(6).with_workers(1).with_adaptive().with_low_water(0.5);
+        for spec in [adaptive, ShardSpec::default()] {
+            let schema = Schema::from_pairs(&[("v", DataType::Int)]).unwrap();
+            let policy = ContainerPolicy::new(FungusSpec::Egi(EgiConfig {
+                seeds_per_tick: 2,
+                seed_bias: SeedBias::AgePow(2.0),
+                rot_rate: 0.5,
+                spread_width: 2,
+            }))
+            .with_sharding(spec);
+            let mut db = Database::new(seed);
+            db.create_container("t", schema, policy).unwrap();
+            for op in &ops {
+                match op {
+                    Op::Insert(v) => {
+                        db.execute(&format!("INSERT INTO t VALUES ({v})")).unwrap();
+                    }
+                    Op::Tick => {
+                        db.run_for(1);
+                    }
+                    Op::Consume(v) => {
+                        db.execute(&format!("SELECT * FROM t WHERE v >= {v} CONSUME")).unwrap();
+                    }
+                    // Reads don't move shard structure; covered above.
+                    Op::Recent(_) | Op::FreshCount => {}
                 }
-                Op::Tick => {
-                    db.run_for(1);
-                }
-                Op::Consume(v) => {
-                    db.execute(&format!("SELECT * FROM t WHERE v >= {v} CONSUME")).unwrap();
-                }
-                // Reads don't move shard structure; covered above.
-                Op::Recent(_) | Op::FreshCount => {}
             }
-        }
 
-        let structure = {
-            let c = db.container("t").unwrap();
-            let g = c.read();
-            g.extent().as_sharded().unwrap().structure()
-        };
-        static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "fungus-prop-ckpt-{}-{}",
-            std::process::id(),
-            CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        ));
-        db.checkpoint(&dir).unwrap();
-        let mut back = Database::new(seed);
-        back.restore_checkpoint(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+            let structure = {
+                let c = db.container("t").unwrap();
+                let g = c.read();
+                g.extent().structure()
+            };
+            static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "fungus-prop-ckpt-{}-{}",
+                std::process::id(),
+                CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            ));
+            db.checkpoint(&dir).unwrap();
+            let mut back = Database::new(seed);
+            back.restore_checkpoint(&dir).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
 
-        {
-            let c = back.container("t").unwrap();
-            let g = c.read();
-            prop_assert_eq!(
-                g.extent().as_sharded().unwrap().structure(),
-                structure,
-                "restored shard structure differs"
-            );
+            {
+                let c = back.container("t").unwrap();
+                let g = c.read();
+                prop_assert_eq!(
+                    g.extent().structure(),
+                    structure,
+                    "restored shard structure differs"
+                );
+            }
+            // Identical decay futures: both copies rot the same tuples.
+            db.run_for(20);
+            back.run_for(20);
+            let survivors = |d: &Database| {
+                let out = d.execute("SELECT $id, v FROM t WHERE v >= -50").unwrap();
+                out.result.rows
+            };
+            prop_assert_eq!(survivors(&db), survivors(&back), "post-restore decay diverged");
         }
-        // Identical decay futures: both copies rot the same tuples.
-        db.run_for(5);
-        back.run_for(5);
-        let survivors = |d: &Database| {
-            let out = d.execute("SELECT $id, v FROM t WHERE v >= -50").unwrap();
-            out.result.rows
-        };
-        prop_assert_eq!(survivors(&db), survivors(&back), "post-restore decay diverged");
     }
 }
