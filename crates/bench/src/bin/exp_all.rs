@@ -40,7 +40,6 @@ fn main() {
         ("e11", fungus_bench::e11_server::run),
         ("e11-scale", fungus_bench::e11_scale::run),
         ("e12", fungus_bench::e12_sharding::run),
-        ("e12-mvcc", fungus_bench::e12_mvcc::run),
         ("e13", fungus_bench::e13_adaptive::run),
         ("e14", fungus_bench::e14_trending::run),
         ("a1", fungus_bench::a1_access_paths::run),

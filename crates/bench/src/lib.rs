@@ -29,7 +29,6 @@ pub mod a1_access_paths;
 pub mod e10_health;
 pub mod e11_scale;
 pub mod e11_server;
-pub mod e12_mvcc;
 pub mod e12_sharding;
 pub mod e13_adaptive;
 pub mod e14_trending;

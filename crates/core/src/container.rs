@@ -5,7 +5,7 @@ use fungus_fungi::Fungus;
 use fungus_query::{execute, LogicalPlan, Planner, QueryExtent, ResultSet, SelectStatement};
 use fungus_shard::ShardedExtent;
 use fungus_storage::{SpotCensus, TableStats, TableStore, TombstoneReason};
-use fungus_types::{FungusError, Result, Schema, Tick, Tuple, TupleId, Value};
+use fungus_types::{Result, Schema, Tick, Tuple, TupleId, Value};
 
 use crate::distill::Distiller;
 use crate::metrics::EngineMetrics;
@@ -209,7 +209,7 @@ impl Container {
     pub fn query(&mut self, plan: &LogicalPlan, now: Tick) -> Result<ResultSet> {
         let result = execute(plan, &mut self.extent, now)?;
         self.metrics.queries += 1;
-        // Even a non-consuming locked query touches access metadata.
+        // Even a non-consuming query touches access metadata.
         self.mvcc_dirty = true;
         if plan.consume {
             self.metrics.consuming_queries += 1;
@@ -275,37 +275,6 @@ impl Container {
         )
     }
 
-    /// Answers a `SUMMARIZE` read from the named cooking pipeline: returns
-    /// the summary's report evaluated at `now` (fading kinds decay their
-    /// answers to the asking tick) and bumps the per-sketch hit counter.
-    /// `top` truncates the report to its first `n` rows — for top-k kinds
-    /// the report is already ranked, so this is "the top n".
-    pub fn sketch_report(
-        &mut self,
-        name: &str,
-        top: Option<usize>,
-        now: Tick,
-    ) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
-        if !self.distiller.note_hit(name) {
-            return Err(FungusError::PlanError(format!(
-                "container `{}` has no summary `{name}` (available: {})",
-                self.name,
-                self.distiller.names().join(", ")
-            )));
-        }
-        self.metrics.sketch_hits += 1;
-        let summary = self
-            .distiller
-            .summary(name)
-            // lint: allow(panic, "note_hit returned true above, so the pipeline exists")
-            .expect("note_hit found the pipeline");
-        let (columns, mut rows) = summary.report(now.get());
-        if let Some(n) = top {
-            rows.truncate(n);
-        }
-        Ok((columns, rows))
-    }
-
     /// Records that `n` rot-evicted tuples were delivered along a route
     /// (called by the database's routing layer; feeds the health monitor's
     /// waste accounting — routed data is preserved, not wasted).
@@ -356,10 +325,10 @@ impl Container {
     /// Applies the write half of an optimistic `CONSUME` whose read half
     /// ran against a pinned snapshot: deletes exactly `returned` from the
     /// live extent, fills `result.consumed`, and updates the same
-    /// metrics/distillation the locked path would. The caller has already
-    /// verified the epoch did not advance since the pin, which (because
-    /// every mutator publishes before unlocking) guarantees the live
-    /// content equals the snapshot the answer was computed from.
+    /// metrics/distillation [`query`](Self::query) would. The caller has
+    /// already verified the epoch did not advance since the pin, which
+    /// (because every mutator publishes before unlocking) guarantees the
+    /// live content equals the snapshot the answer was computed from.
     pub fn apply_consume(
         &mut self,
         mut result: ResultSet,
@@ -385,12 +354,19 @@ impl Container {
         result
     }
 
+    /// Seals the current content as the first version of a fresh cell (the
+    /// database calls this once, when it installs the container).
+    pub fn open_cell(&mut self) -> ContainerMvcc {
+        self.mvcc_dirty = false;
+        ContainerMvcc::new(self.extent.publish_snapshot(), self.distiller.clone())
+    }
+
     /// Publishes a sealed snapshot of the current content into `cell`,
-    /// advancing its epoch — unless the policy disables MVCC or nothing
-    /// changed since the last publish (clean publishes are skipped so
-    /// pure readers never trigger spurious `CONSUME` retries).
+    /// advancing its epoch — unless nothing changed since the last publish
+    /// (clean publishes are skipped so pure readers never trigger spurious
+    /// `CONSUME` retries).
     pub fn publish_into(&mut self, cell: &ContainerMvcc) {
-        if !self.policy.mvcc || !self.mvcc_dirty {
+        if !self.mvcc_dirty {
             return;
         }
         let snapshot = self.extent.publish_snapshot();
@@ -401,9 +377,6 @@ impl Container {
     /// The standard mutator epilogue: drain the cell's deferred-touch
     /// queue into the live extent, then publish if anything changed.
     pub fn drain_and_publish(&mut self, cell: &ContainerMvcc) {
-        if !self.policy.mvcc {
-            return;
-        }
         let touches = cell.drain_touches();
         self.apply_touches(&touches);
         self.publish_into(cell);

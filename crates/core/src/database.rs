@@ -18,8 +18,8 @@ use crate::mvcc::{ContainerMvcc, SnapshotHandle};
 use crate::policy::ContainerPolicy;
 use crate::route::{Route, RouteSpec, RouteTable};
 
-/// How many times an optimistic `CONSUME` re-pins after losing the epoch
-/// race before it falls back to the fully locked path.
+/// How many optimistic attempts a `CONSUME` makes (each loss of the epoch
+/// race costs one) before its next attempt runs lock-first.
 const CONSUME_ATTEMPTS: u32 = 3;
 
 /// The outcome of [`Database::execute`]: the answer set plus how many
@@ -43,13 +43,11 @@ pub type ContainerHandle = Arc<OrderedRwLock<Container>>;
 pub struct Database {
     rng: DeterministicRng,
     scheduler: TickScheduler,
-    containers: BTreeMap<String, ContainerHandle>,
+    /// Each container beside its MVCC cell (see [`crate::mvcc`]), which
+    /// sits outside the container lock so readers can pin without it.
+    containers: BTreeMap<String, (ContainerHandle, Arc<ContainerMvcc>)>,
     decay_tasks: BTreeMap<String, TaskHandle>,
     routes: BTreeMap<String, RouteTable>,
-    /// One MVCC cell per container (see [`crate::mvcc`]); kept in a
-    /// parallel map so readers can reach the cell without any container
-    /// lock.
-    mvcc: BTreeMap<String, Arc<ContainerMvcc>>,
 }
 
 impl Database {
@@ -61,7 +59,6 @@ impl Database {
             containers: BTreeMap::new(),
             decay_tasks: BTreeMap::new(),
             routes: BTreeMap::new(),
-            mvcc: BTreeMap::new(),
         }
     }
 
@@ -125,10 +122,7 @@ impl Database {
         mut container: Container,
         decay_period: fungus_types::TickDelta,
     ) {
-        let cell = Arc::new(ContainerMvcc::new());
-        // Publish the initial (usually empty) snapshot so the lock-free
-        // read path works from the first statement on.
-        container.publish_into(&cell);
+        let cell = Arc::new(container.open_cell());
         let shared = Arc::new(OrderedRwLock::new(&hierarchy::CONTAINERS, container));
         let route_table: RouteTable = Arc::new(OrderedRwLock::new(&hierarchy::ROUTES, Vec::new()));
         let task_target = Arc::clone(&shared);
@@ -166,8 +160,7 @@ impl Database {
         });
         self.decay_tasks.insert(name.clone(), handle);
         self.routes.insert(name.clone(), route_table);
-        self.mvcc.insert(name.clone(), cell);
-        self.containers.insert(name, shared);
+        self.containers.insert(name, (shared, cell));
     }
 
     /// Adds a rot route: departing tuples of `from` (per the spec's
@@ -206,7 +199,7 @@ impl Database {
     /// ```
     pub fn add_route(&mut self, from: &str, spec: RouteSpec) -> Result<()> {
         let source = self.container(from)?;
-        let target = self.container(&spec.to)?;
+        let (target, target_cell) = self.entry(&spec.to)?;
         // Clone the source schema out and release the source lock before
         // resolving: `Route::resolve` takes the target container's lock,
         // and holding both container locks at once inverts the hierarchy —
@@ -214,12 +207,12 @@ impl Database {
         // same `RwLock`, which deadlocks when a writer is queued between
         // the two reads.
         let source_schema = source.read().schema().clone();
-        let target_cell = self
-            .mvcc
-            .get(&spec.to)
-            .cloned()
-            .ok_or_else(|| FungusError::UnknownContainer(spec.to.clone()))?;
-        let route = Route::resolve(&spec, &source_schema, target, target_cell)?;
+        let route = Route::resolve(
+            &spec,
+            &source_schema,
+            Arc::clone(target),
+            Arc::clone(target_cell),
+        )?;
         // The route table is created alongside the container, but a
         // concurrent `drop_container` can remove it between the schema
         // read above and this lookup — surface that as the same error
@@ -251,15 +244,19 @@ impl Database {
         for table in self.routes.values() {
             table.write().retain(|r| r.to_name != name);
         }
-        self.mvcc.remove(name);
         self.containers.remove(name).is_some()
     }
 
     /// Shared handle to a container.
     pub fn container(&self, name: &str) -> Result<ContainerHandle> {
+        self.entry(name).map(|(c, _)| Arc::clone(c))
+    }
+
+    /// A container's handle and MVCC cell.
+    fn entry(&self, name: &str) -> Result<(&ContainerHandle, &Arc<ContainerMvcc>)> {
         self.containers
             .get(name)
-            .cloned()
+            .map(|(c, cell)| (c, cell))
             .ok_or_else(|| FungusError::UnknownContainer(name.to_string()))
     }
 
@@ -275,25 +272,21 @@ impl Database {
 
     /// Inserts one row into a container at the current tick.
     pub fn insert(&self, container: &str, values: Vec<Value>) -> Result<TupleId> {
-        let c = self.container(container)?;
+        let (c, cell) = self.entry(container)?;
         let now = self.now();
         let mut guard = c.write();
         let id = guard.insert(values, now)?;
-        if let Some(cell) = self.mvcc.get(container) {
-            guard.drain_and_publish(cell);
-        }
+        guard.drain_and_publish(cell);
         Ok(id)
     }
 
     /// Inserts a batch of rows into a container at the current tick.
     pub fn insert_batch(&self, container: &str, rows: Vec<Vec<Value>>) -> Result<Vec<TupleId>> {
-        let c = self.container(container)?;
+        let (c, cell) = self.entry(container)?;
         let now = self.now();
         let mut guard = c.write();
         let ids = guard.insert_batch(rows, now)?;
-        if let Some(cell) = self.mvcc.get(container) {
-            guard.drain_and_publish(cell);
-        }
+        guard.drain_and_publish(cell);
         Ok(ids)
     }
 
@@ -306,33 +299,9 @@ impl Database {
     fn run_statement(&self, stmt: Statement) -> Result<QueryOutcome> {
         let now = self.now();
         match stmt {
-            Statement::Select(stmt) => {
-                let c = self.container(&stmt.table)?;
-                if let Some(cell) = self.mvcc.get(&stmt.table) {
-                    if let Some(outcome) = self.select_via_snapshot(&c, cell, &stmt, now)? {
-                        return Ok(outcome);
-                    }
-                }
-                // Locked path: MVCC disabled by policy, or a CONSUME that
-                // exhausted its optimistic retries.
-                let (result, distilled) = {
-                    let mut guard = c.write();
-                    let plan = guard.plan(&stmt)?;
-                    let before = guard.metrics().distilled;
-                    let result = guard.query(&plan, now)?;
-                    let distilled = guard.metrics().distilled - before;
-                    if let Some(cell) = self.mvcc.get(&stmt.table) {
-                        guard.drain_and_publish(cell);
-                    }
-                    (result, distilled)
-                };
-                // Deliver consumed departures along the routes with the
-                // source lock released.
-                self.route_consumed(&stmt.table, &result, now)?;
-                Ok(QueryOutcome { result, distilled })
-            }
+            Statement::Select(stmt) => self.select(&stmt, now),
             Statement::Insert { table, rows } => {
-                let c = self.container(&table)?;
+                let (c, cell) = self.entry(&table)?;
                 let mut guard = c.write();
                 let empty_schema = Schema::new(vec![])?;
                 let dummy = Tuple::new(TupleId(0), now, vec![]);
@@ -346,9 +315,7 @@ impl Database {
                     guard.insert(values, now)?;
                     inserted += 1;
                 }
-                if let Some(cell) = self.mvcc.get(&table) {
-                    guard.drain_and_publish(cell);
-                }
+                guard.drain_and_publish(cell);
                 Ok(QueryOutcome {
                     result: ResultSet {
                         columns: vec!["inserted".into()],
@@ -363,20 +330,16 @@ impl Database {
                 })
             }
             Statement::Explain(stmt) => {
-                let c = self.container(&stmt.table)?;
-                let mut guard = c.write();
-                let result = fungus_query::execute_parsed(
-                    Statement::Explain(stmt),
-                    guard.extent_mut(),
-                    now,
-                )?;
+                // A plan depends on the schema alone, and every version
+                // carries it: no container lock.
+                let (_, cell) = self.entry(&stmt.table)?;
                 Ok(QueryOutcome {
-                    result,
+                    result: fungus_query::explain(&stmt, cell.pin().schema())?,
                     distilled: 0,
                 })
             }
             Statement::Delete { table, predicate } => {
-                let c = self.container(&table)?;
+                let (c, cell) = self.entry(&table)?;
                 let mut guard = c.write();
                 let result = fungus_query::execute_parsed(
                     Statement::Delete {
@@ -386,9 +349,7 @@ impl Database {
                     guard.extent_mut(),
                     now,
                 )?;
-                if let Some(cell) = self.mvcc.get(&table) {
-                    guard.drain_and_publish(cell);
-                }
+                guard.drain_and_publish(cell);
                 Ok(QueryOutcome {
                     result,
                     distilled: 0,
@@ -399,29 +360,11 @@ impl Database {
                 summary,
                 top,
             } => {
-                let c = self.container(&table)?;
-                // Snapshot path: sealed distiller state, no container
-                // lock. Hit counters are shared atomics, so the gauges
-                // still move.
-                if let Some(cell) = self.mvcc.get(&table) {
-                    if let Some(version) = cell.pin() {
-                        let (columns, rows) = version.sketch_report(&table, &summary, top, now)?;
-                        cell.note_snapshot_read();
-                        return Ok(QueryOutcome {
-                            result: ResultSet {
-                                columns,
-                                rows,
-                                consumed: Vec::new(),
-                                scanned: 0,
-                                pruned_segments: 0,
-                                pruned_shards: 0,
-                                used_index: false,
-                            },
-                            distilled: 0,
-                        });
-                    }
-                }
-                let (columns, rows) = c.write().sketch_report(&summary, top, now)?;
+                // Sealed distiller state, no container lock. Hit counters
+                // are shared atomics, so the gauges still move.
+                let (_, cell) = self.entry(&table)?;
+                let (columns, rows) = cell.pin().sketch_report(&table, &summary, top, now)?;
+                cell.note_snapshot_read();
                 Ok(QueryOutcome {
                     result: ResultSet {
                         columns,
@@ -444,7 +387,7 @@ impl Database {
                 column,
                 ordered,
             } => {
-                let c = self.container(&table)?;
+                let (c, cell) = self.entry(&table)?;
                 {
                     let mut guard = c.write();
                     if ordered {
@@ -452,9 +395,7 @@ impl Database {
                     } else {
                         guard.extent_mut().create_index(&column)?;
                     }
-                    if let Some(cell) = self.mvcc.get(&table) {
-                        guard.drain_and_publish(cell);
-                    }
+                    guard.drain_and_publish(cell);
                 }
                 Ok(QueryOutcome {
                     result: ResultSet {
@@ -472,28 +413,54 @@ impl Database {
         }
     }
 
-    /// The MVCC fast path for one `SELECT`. Returns `Ok(None)` when the
-    /// locked path must run instead: the policy disabled MVCC (no version
-    /// was ever published), or an optimistic `CONSUME` exhausted
-    /// [`CONSUME_ATTEMPTS`].
+    /// One `SELECT`. Non-consuming reads resolve entirely against a pinned
+    /// snapshot — no container lock at any point. `CONSUME` runs at the
+    /// isolation level specified in [`crate::mvcc`]: read-own-snapshot,
+    /// write-live, conflict = retry-on-epoch-advance.
+    fn select(&self, stmt: &SelectStatement, now: Tick) -> Result<QueryOutcome> {
+        let (c, cell) = self.entry(&stmt.table)?;
+        // Only a `CONSUME` can lose an attempt, and only an optimistic one:
+        // the attempt after the `CONSUME_ATTEMPTS`th loss runs lock-first,
+        // which ends the loop.
+        let mut lost = 0;
+        loop {
+            let lock_first = lost >= CONSUME_ATTEMPTS;
+            if let Some(outcome) = self.select_attempt(c, cell, stmt, now, lock_first)? {
+                return Ok(outcome);
+            }
+            lost += 1;
+            if lost < CONSUME_ATTEMPTS {
+                cell.note_consume_retry();
+            }
+        }
+    }
+
+    /// One attempt at a `SELECT`: pin the head version, run the read
+    /// phases against it, and — for a `CONSUME` — apply the answer to the
+    /// live extent under the container write lock. Returns `Ok(None)` when
+    /// the epoch advanced between pin and lock, so the answer may be stale.
     ///
-    /// Non-consuming reads resolve entirely against the pinned snapshot —
-    /// no container lock at any point. `CONSUME` runs at the isolation
-    /// level specified in [`crate::mvcc`]: read-own-snapshot, write-live,
-    /// conflict = retry-on-epoch-advance.
-    fn select_via_snapshot(
+    /// `lock_first` takes the write lock *before* the pin and seals
+    /// whatever is unpublished, so the pinned version is the live content
+    /// and the attempt cannot lose; it is counted as a consume fallback.
+    fn select_attempt(
         &self,
         c: &ContainerHandle,
-        cell: &Arc<ContainerMvcc>,
+        cell: &ContainerMvcc,
         stmt: &SelectStatement,
         now: Tick,
+        lock_first: bool,
     ) -> Result<Option<QueryOutcome>> {
-        let Some(mut version) = cell.pin() else {
-            return Ok(None);
-        };
+        let held = lock_first.then(|| {
+            cell.note_consume_fallback();
+            let mut guard = c.write();
+            guard.drain_and_publish(cell);
+            guard
+        });
+        let version = cell.pin();
         let plan = Planner.plan(stmt, version.schema())?;
+        let (result, returned) = execute_readonly(&plan, version.extent(), now)?;
         if !plan.consume {
-            let (result, returned) = execute_readonly(&plan, version.extent(), now)?;
             cell.note_snapshot_read();
             cell.queue_touches(&returned, now);
             return Ok(Some(QueryOutcome {
@@ -501,40 +468,27 @@ impl Database {
                 distilled: 0,
             }));
         }
-        for attempt in 0..CONSUME_ATTEMPTS {
-            if attempt > 0 {
-                cell.note_consume_retry();
-                version = match cell.pin() {
-                    Some(v) => v,
-                    None => return Ok(None),
-                };
-            }
-            // Read phase, off-lock, against our own snapshot.
-            let plan = Planner.plan(stmt, version.schema())?;
-            let (result, returned) = execute_readonly(&plan, version.extent(), now)?;
-            // Write phase: only valid if the epoch did not advance while
-            // we were reading — every mutator publishes before releasing
-            // the write lock, so a matching epoch under that same lock
-            // means the live content equals our snapshot.
-            let mut guard = c.write();
-            if cell.epoch() != version.epoch() {
-                drop(guard);
-                continue;
-            }
-            // Deferred touches only move access metadata, never answers;
-            // fold them into the same publish as the consume itself.
-            let touches = cell.drain_touches();
-            guard.apply_touches(&touches);
-            let before = guard.metrics().distilled;
-            let result = guard.apply_consume(result, &returned, now);
-            let distilled = guard.metrics().distilled - before;
-            guard.publish_into(cell);
-            drop(guard);
-            self.route_consumed(&stmt.table, &result, now)?;
-            return Ok(Some(QueryOutcome { result, distilled }));
+        // Write phase: only valid if the epoch did not advance while we
+        // were reading — every mutator publishes before releasing the
+        // write lock, so a matching epoch under that same lock means the
+        // live content equals our snapshot.
+        let mut guard = held.unwrap_or_else(|| c.write());
+        if cell.epoch() != version.epoch() {
+            return Ok(None);
         }
-        cell.note_consume_fallback();
-        Ok(None)
+        // Deferred touches only move access metadata, never answers; fold
+        // them into the same publish as the consume itself.
+        let touches = cell.drain_touches();
+        guard.apply_touches(&touches);
+        let before = guard.metrics().distilled;
+        let result = guard.apply_consume(result, &returned, now);
+        let distilled = guard.metrics().distilled - before;
+        guard.publish_into(cell);
+        // Deliver consumed departures along the routes with the source
+        // lock released.
+        drop(guard);
+        self.route_consumed(&stmt.table, &result, now)?;
+        Ok(Some(QueryOutcome { result, distilled }))
     }
 
     /// Delivers a statement's consumed departures along the source's
@@ -551,20 +505,16 @@ impl Database {
         Ok(())
     }
 
-    /// Pins the current MVCC snapshot of a container at the current tick,
-    /// or `None` if the container's policy disables MVCC. The handle
-    /// answers non-consuming reads lock-free and identically no matter
-    /// how much the live container mutates afterwards.
-    pub fn pin_snapshot(&self, container: &str) -> Result<Option<SnapshotHandle>> {
-        let cell = self
-            .mvcc
-            .get(container)
-            .cloned()
-            .ok_or_else(|| FungusError::UnknownContainer(container.to_string()))?;
-        let now = self.now();
-        Ok(cell
-            .pin()
-            .map(|version| SnapshotHandle::new(version, cell, now)))
+    /// Pins the current MVCC snapshot of a container at the current tick.
+    /// The handle answers non-consuming reads lock-free and identically no
+    /// matter how much the live container mutates afterwards.
+    pub fn pin_snapshot(&self, container: &str) -> Result<SnapshotHandle> {
+        let (_, cell) = self.entry(container)?;
+        Ok(SnapshotHandle::new(
+            cell.pin(),
+            Arc::clone(cell),
+            self.now(),
+        ))
     }
 
     /// Executes a statement that may mutate the catalog (`CREATE
@@ -636,7 +586,7 @@ impl Database {
     /// Aggregate shard telemetry across every container.
     pub fn shard_telemetry(&self) -> crate::metrics::ShardTelemetry {
         let mut t = crate::metrics::ShardTelemetry::default();
-        for c in self.containers.values() {
+        for (c, _) in self.containers.values() {
             let g = c.read();
             t.resident += g.shard_count() as u64;
             t.dropped += g.metrics().shards_dropped;
@@ -649,11 +599,11 @@ impl Database {
     }
 
     /// Aggregate cooking-pipeline telemetry across every container. Hits
-    /// come from the distiller's shared atomic counters, which both the
-    /// locked and the snapshot `SUMMARIZE` paths land on.
+    /// come from the distiller's shared atomic counters, which snapshot
+    /// `SUMMARIZE` reads land on.
     pub fn sketch_telemetry(&self) -> crate::metrics::SketchTelemetry {
         let mut t = crate::metrics::SketchTelemetry::default();
-        for c in self.containers.values() {
+        for (c, _) in self.containers.values() {
             let g = c.read();
             t.sketches += g.distiller().len() as u64;
             t.hits += g.distiller().total_hits();
@@ -668,7 +618,7 @@ impl Database {
     /// version).
     pub fn mvcc_telemetry(&self) -> crate::metrics::MvccTelemetry {
         let mut t = crate::metrics::MvccTelemetry::default();
-        for cell in self.mvcc.values() {
+        for (_, cell) in self.containers.values() {
             let c = cell.telemetry();
             t.epoch += c.epoch;
             t.published += c.published;
@@ -684,10 +634,7 @@ impl Database {
     /// One container's MVCC telemetry (the leak harness checks
     /// reclamation per shard layout).
     pub fn mvcc_telemetry_of(&self, container: &str) -> Result<crate::metrics::MvccTelemetry> {
-        self.mvcc
-            .get(container)
-            .map(|cell| cell.telemetry())
-            .ok_or_else(|| FungusError::UnknownContainer(container.to_string()))
+        self.entry(container).map(|(_, cell)| cell.telemetry())
     }
 
     /// Health reports for every container.
@@ -696,7 +643,7 @@ impl Database {
         let now = self.now();
         self.containers
             .iter()
-            .map(|(name, c)| (name.clone(), monitor.inspect(&c.read(), now)))
+            .map(|(name, (c, _))| (name.clone(), monitor.inspect(&c.read(), now)))
             .collect()
     }
 
@@ -736,7 +683,7 @@ impl Database {
         std::fs::create_dir_all(dir)?;
         let mut manifest = String::new();
         manifest.push_str(&format!("clock\t{}\n", self.now().get()));
-        for (name, container) in &self.containers {
+        for (name, (container, _)) in &self.containers {
             let guard = container.read();
             let ext = guard.extent();
             ext.for_each_shard_store(|base, store| {
@@ -903,6 +850,13 @@ mod tests {
         Schema::from_pairs(&[("v", DataType::Int)]).unwrap()
     }
 
+    fn select(sql: &str) -> SelectStatement {
+        match parse_statement(sql).unwrap() {
+            Statement::Select(s) => s,
+            other => panic!("expected select, got {other:?}"),
+        }
+    }
+
     fn db_with(policy: ContainerPolicy) -> Database {
         let mut db = Database::new(11);
         db.create_container("r", schema(), policy).unwrap();
@@ -977,6 +931,74 @@ mod tests {
         assert_eq!(out.distilled, 2);
         let c = db.container("r").unwrap();
         assert_eq!(c.read().distiller().absorbed("v"), Some(2));
+    }
+
+    #[test]
+    fn lock_first_consume_attempt_matches_the_optimistic_one() {
+        use crate::distill::{DistillSpec, DistillTrigger};
+        use fungus_summary::SummarySpec;
+        let run = |lock_first: bool| {
+            let policy = ContainerPolicy::immortal().with_distiller(DistillSpec {
+                name: "v".into(),
+                column: Some("v".into()),
+                summary: SummarySpec::Moments,
+                trigger: DistillTrigger::Consumed,
+            });
+            let db = db_with(policy);
+            db.execute("INSERT INTO r VALUES (1), (2), (3), (4), (5)")
+                .unwrap();
+            // Leave work for the attempt's prologue: touches queued by a
+            // snapshot read, and a serial query nobody published.
+            db.execute("SELECT v FROM r WHERE v > 3").unwrap();
+            let (c, cell) = db.entry("r").unwrap();
+            {
+                let mut live = c.write();
+                let plan = live.plan(&select("SELECT v FROM r WHERE v = 1")).unwrap();
+                live.query(&plan, db.now()).unwrap();
+            }
+            let stmt = select("SELECT v FROM r WHERE v >= 2 ORDER BY v DESC LIMIT 3 CONSUME");
+            let outcome = db
+                .select_attempt(c, cell, &stmt, db.now(), lock_first)
+                .unwrap()
+                .expect("an uncontended attempt cannot lose the epoch race");
+            let survivors = db.execute("SELECT $id, v FROM r").unwrap().result.rows;
+            (outcome, survivors, db.mvcc_telemetry_of("r").unwrap())
+        };
+        let (optimistic, optimistic_left, optimistic_t) = run(false);
+        let (locked, locked_left, locked_t) = run(true);
+        assert_eq!(optimistic.result.rows.len(), 3);
+        assert_eq!(optimistic.result.consumed.len(), 3);
+        assert_eq!(optimistic.distilled, 3);
+        assert_eq!(locked, optimistic, "rows, consumed set and distilled");
+        assert_eq!(locked_left, optimistic_left);
+        assert_eq!(optimistic_left.len(), 2);
+        assert_eq!(optimistic_t.consume_fallbacks, 0);
+        assert_eq!(locked_t.consume_fallbacks, 1);
+        assert_eq!(
+            (locked_t.consume_retries, optimistic_t.consume_retries),
+            (0, 0)
+        );
+    }
+
+    #[test]
+    fn explain_needs_no_container_lock() {
+        let db = db_with(ContainerPolicy::immortal());
+        let c = db.container("r").unwrap();
+        let guard = c.write();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let out = std::thread::scope(|scope| {
+            scope.spawn(|| tx.send(db.execute("EXPLAIN SELECT v FROM r WHERE v > 1")));
+            let out = rx.recv_timeout(Duration::from_secs(30));
+            // Release before judging: a blocked EXPLAIN must be able to
+            // finish, or the scope could never join it.
+            drop(guard);
+            out
+        });
+        let plan = out
+            .expect("EXPLAIN waited for the container write lock")
+            .unwrap();
+        assert_eq!(plan.result.columns, vec!["plan"]);
+        assert!(!plan.result.rows.is_empty());
     }
 
     #[test]
@@ -1440,7 +1462,9 @@ mod tests {
     fn restore_loads_checkpoints_written_before_layout_lines() {
         // What a checkpoint of a container without a sharding clause looked
         // like while the spec was optional: one `<name>.snap`, a policy
-        // with `"sharding":null`, and no `layout` line.
+        // with `"sharding":null`, and no `layout` line. Policies of that
+        // time also carried an `"mvcc"` switch; a container checkpointed
+        // with it off restores onto the one (snapshot) read path.
         let policy = ContainerPolicy::new(FungusSpec::Retention { max_age: 30 });
         let mut db = Database::new(9);
         db.create_container("r", schema(), policy.clone()).unwrap();
@@ -1452,8 +1476,10 @@ mod tests {
         db.save_container("r", dir.join("r.snap")).unwrap();
         let spec_json = serde_json_lite(&policy.sharding).unwrap();
         let policy_json = serde_json_lite(&policy).unwrap();
-        let legacy_json =
-            policy_json.replace(&format!("\"sharding\":{spec_json}"), "\"sharding\":null");
+        let legacy_json = policy_json.replace(
+            &format!("\"sharding\":{spec_json}"),
+            "\"mvcc\":false,\"sharding\":null",
+        );
         assert_ne!(legacy_json, policy_json);
         std::fs::write(
             dir.join("MANIFEST"),
@@ -1468,6 +1494,12 @@ mod tests {
         assert_eq!(c.read().policy(), &policy);
         assert_eq!(c.read().live_count(), 3);
         assert_eq!(c.read().shard_count(), 1);
+        let before = restored.mvcc_telemetry_of("r").unwrap();
+        assert_eq!(before.published, 1, "the restored content is sealed");
+        let out = restored.execute("SELECT COUNT(*) FROM r").unwrap();
+        assert_eq!(out.result.scalar().unwrap(), &Value::Int(3));
+        let after = restored.mvcc_telemetry_of("r").unwrap();
+        assert_eq!(after.snapshot_reads, before.snapshot_reads + 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

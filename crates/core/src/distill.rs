@@ -175,18 +175,14 @@ impl Distiller {
             .map(|p| p.absorbed)
     }
 
-    /// Records one read of the named pipeline's summary; returns `false`
-    /// when no such pipeline exists. Shared-reference on purpose: a clone
-    /// held by an MVCC snapshot bumps the same counter as the live
+    /// Records one read of the named pipeline and hands back its summary;
+    /// `None` when no such pipeline exists. Shared-reference on purpose: a
+    /// clone held by an MVCC snapshot bumps the same counter as the live
     /// distiller, so `SUMMARIZE` never needs the container write lock.
-    pub fn note_hit(&self, name: &str) -> bool {
-        match self.pipelines.iter().find(|p| p.spec.name == name) {
-            Some(p) => {
-                p.hits.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
+    pub fn note_hit(&self, name: &str) -> Option<&AnySummary> {
+        let p = self.pipelines.iter().find(|p| p.spec.name == name)?;
+        p.hits.fetch_add(1, Ordering::Relaxed);
+        Some(&p.summary)
     }
 
     /// Reads served by the named pipeline.
@@ -386,10 +382,10 @@ mod tests {
     fn hits_count_summary_reads() {
         let d = Distiller::new(&specs(), &schema(), 1).unwrap();
         assert_eq!(d.total_hits(), 0);
-        assert!(d.note_hit("v-stats"));
-        assert!(d.note_hit("v-stats"));
-        assert!(d.note_hit("rot-freshness"));
-        assert!(!d.note_hit("nope"));
+        assert!(d.note_hit("v-stats").is_some());
+        assert!(d.note_hit("v-stats").is_some());
+        assert!(d.note_hit("rot-freshness").is_some());
+        assert!(d.note_hit("nope").is_none());
         assert_eq!(d.hits("v-stats"), Some(2));
         assert_eq!(d.hits("consumed-tags"), Some(0));
         assert_eq!(d.hits("nope"), None);

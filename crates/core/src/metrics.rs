@@ -40,9 +40,6 @@ pub struct EngineMetrics {
     /// Rotted tuples folded into at least one distillation summary
     /// ("turned into summaries for later consumption").
     pub rot_distilled: u64,
-    /// `SUMMARIZE` reads served from cooking-pipeline sketches.
-    #[serde(default)]
-    pub sketch_hits: u64,
 }
 
 impl EngineMetrics {
@@ -106,8 +103,8 @@ pub struct MvccTelemetry {
     /// `CONSUME` attempts that lost their optimistic race (the epoch
     /// advanced between pin and write) and retried.
     pub consume_retries: u64,
-    /// `CONSUME`s that exhausted their retries and fell back to the fully
-    /// locked path.
+    /// `CONSUME`s that exhausted their optimistic retries and ran their
+    /// last attempt lock-first.
     pub consume_fallbacks: u64,
 }
 

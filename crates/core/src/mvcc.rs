@@ -2,7 +2,8 @@
 //!
 //! Each container gets one [`ContainerMvcc`] cell holding the latest
 //! **sealed snapshot** of its extent and distiller behind an epoch
-//! counter. Mutators (insert, consume, decay, routed deliveries) change
+//! counter; the cell is born holding the container's first version, so
+//! there is always a head to pin. Mutators (insert, consume, decay, routed deliveries) change
 //! the live [`Container`](crate::Container) under its write lock and then
 //! *publish*: a copy-on-write snapshot replaces the head version and the
 //! epoch advances by one. Non-consuming `SELECT`s and `SUMMARIZE` reads
@@ -24,8 +25,9 @@
 //!    ids are deleted from the live extent and a new snapshot is
 //!    published;
 //! 4. if the epoch advanced, the answer may be stale — drop it, count a
-//!    retry, and re-pin; after bounded retries fall back to the fully
-//!    locked path (counted separately).
+//!    retry, and re-pin; after bounded retries run the same steps with
+//!    the write lock taken *before* the pin (counted as a fallback), which
+//!    cannot lose the race.
 //!
 //! ## Deferred touches
 //!
@@ -96,17 +98,12 @@ impl Versioned {
         top: Option<usize>,
         now: Tick,
     ) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
-        if !self.distiller.note_hit(name) {
+        let Some(summary) = self.distiller.note_hit(name) else {
             return Err(FungusError::PlanError(format!(
                 "container `{container}` has no summary `{name}` (available: {})",
                 self.distiller.names().join(", ")
             )));
-        }
-        let summary = self
-            .distiller
-            .summary(name)
-            // lint: allow(panic, "note_hit returned true above, so the pipeline exists")
-            .expect("note_hit found the pipeline");
+        };
         let (columns, mut rows) = summary.report(now.get());
         if let Some(n) = top {
             rows.truncate(n);
@@ -123,11 +120,11 @@ impl Versioned {
 /// classes.
 #[derive(Debug)]
 pub struct ContainerMvcc {
-    /// Epoch of the current head version (0 = nothing published yet).
+    /// Epoch of the current head version (the first is 1).
     epoch: AtomicU64,
     /// The head version slot. Readers pin with one `Arc` clone under the
     /// read side; `publish` swaps under the write side.
-    head: OrderedRwLock<Option<Arc<Versioned>>>,
+    head: OrderedRwLock<Arc<Versioned>>,
     /// Superseded versions awaiting their last reader, as weak refs.
     retired: OrderedMutex<Vec<Weak<Versioned>>>,
     /// Deferred access-metadata bumps queued by snapshot reads; drained
@@ -141,21 +138,20 @@ pub struct ContainerMvcc {
     consume_fallbacks: AtomicU64,
 }
 
-impl Default for ContainerMvcc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ContainerMvcc {
-    /// An empty cell at epoch 0 with no published version.
-    pub fn new() -> Self {
+    /// A cell whose head is the given first version, published at epoch 1.
+    pub fn new(extent: ExtentSnapshot, distiller: Distiller) -> Self {
+        let first = Arc::new(Versioned {
+            epoch: 1,
+            extent,
+            distiller,
+        });
         ContainerMvcc {
-            epoch: AtomicU64::new(0),
-            head: OrderedRwLock::new(&hierarchy::MVCC_VERSIONS, None),
+            epoch: AtomicU64::new(1),
+            head: OrderedRwLock::new(&hierarchy::MVCC_VERSIONS, first),
             retired: OrderedMutex::new(&hierarchy::MVCC_RETIRED, Vec::new()),
             touches: OrderedMutex::new(&hierarchy::MVCC_TOUCHES, Vec::new()),
-            published: AtomicU64::new(0),
+            published: AtomicU64::new(1),
             retired_total: AtomicU64::new(0),
             reclaimed: AtomicU64::new(0),
             snapshot_reads: AtomicU64::new(0),
@@ -164,16 +160,15 @@ impl ContainerMvcc {
         }
     }
 
-    /// The current epoch (the epoch of the head version, or 0).
+    /// The current epoch (the epoch of the head version).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
 
     /// Pins the head version: readers hold the returned `Arc` for as long
     /// as they read, which is exactly their reclamation registration.
-    /// `None` until the first publish.
-    pub fn pin(&self) -> Option<Arc<Versioned>> {
-        self.head.read().clone()
+    pub fn pin(&self) -> Arc<Versioned> {
+        Arc::clone(&self.head.read())
     }
 
     /// Publishes a new sealed version, advancing the epoch. The old head
@@ -193,7 +188,7 @@ impl ContainerMvcc {
         });
         let old = {
             let mut head = self.head.write();
-            let old = head.replace(version);
+            let old = std::mem::replace(&mut *head, version);
             // Readers that pin after this see the new epoch; the store is
             // ordered after the swap so a pin at the old epoch still has
             // the old version.
@@ -201,13 +196,11 @@ impl ContainerMvcc {
             old
         };
         self.published.fetch_add(1, Ordering::Relaxed);
-        if let Some(old) = old {
-            let mut retired = self.retired.lock();
-            retired.push(Arc::downgrade(&old));
-            self.retired_total.fetch_add(1, Ordering::Relaxed);
-            drop(old); // release our strong ref before sweeping
-            Self::sweep_locked(&mut retired, &self.reclaimed);
-        }
+        let mut retired = self.retired.lock();
+        retired.push(Arc::downgrade(&old));
+        self.retired_total.fetch_add(1, Ordering::Relaxed);
+        drop(old); // release our strong ref before sweeping
+        Self::sweep_locked(&mut retired, &self.reclaimed);
         next
     }
 
@@ -264,8 +257,8 @@ impl ContainerMvcc {
         self.consume_retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one `CONSUME` that exhausted its retries and fell back to
-    /// the fully locked path.
+    /// Counts one `CONSUME` that exhausted its optimistic retries and ran
+    /// lock-first.
     pub fn note_consume_fallback(&self) {
         self.consume_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
@@ -360,7 +353,7 @@ impl SnapshotHandle {
 mod tests {
     use super::*;
     use fungus_storage::{StorageConfig, TableStore};
-    use fungus_types::{ColumnDef, DataType, Value};
+    use fungus_types::{DataType, Value};
 
     fn store_with(values: &[i64]) -> TableStore {
         let schema = Schema::from_pairs(&[("v", DataType::Int)]).unwrap();
@@ -380,16 +373,13 @@ mod tests {
 
     #[test]
     fn publish_advances_epoch_and_retires_old_head() {
-        let cell = ContainerMvcc::new();
-        assert_eq!(cell.epoch(), 0);
-        assert!(cell.pin().is_none());
-
         let store = store_with(&[1, 2, 3]);
         let schema = store.schema().clone();
         let d = Distiller::new(&[], &schema, 0).unwrap();
 
-        assert_eq!(cell.publish(snap_of(&store), d.clone()), 1);
-        let pinned = cell.pin().expect("head published");
+        let cell = ContainerMvcc::new(snap_of(&store), d.clone());
+        assert_eq!(cell.epoch(), 1);
+        let pinned = cell.pin();
         assert_eq!(pinned.epoch(), 1);
         assert_eq!(pinned.extent().live_count(), 3);
 
@@ -409,7 +399,9 @@ mod tests {
 
     #[test]
     fn touch_queue_drains_once() {
-        let cell = ContainerMvcc::new();
+        let store = store_with(&[]);
+        let d = Distiller::new(&[], store.schema(), 0).unwrap();
+        let cell = ContainerMvcc::new(snap_of(&store), d);
         cell.queue_touches(&[TupleId(1), TupleId(2)], Tick(7));
         cell.queue_touches(&[], Tick(8)); // no-op
         cell.queue_touches(&[TupleId(3)], Tick(9));

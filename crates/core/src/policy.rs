@@ -26,16 +26,6 @@ pub struct ContainerPolicy {
     /// never-sealing shard).
     #[serde(default)]
     pub sharding: ShardSpec,
-    /// Publish MVCC snapshots so non-consuming reads run lock-free
-    /// against a sealed epoch (on by default). Off = every read takes the
-    /// container lock — the locked baseline the E12-MVCC experiment
-    /// measures against.
-    #[serde(default = "default_mvcc")]
-    pub mvcc: bool,
-}
-
-fn default_mvcc() -> bool {
-    true
 }
 
 impl ContainerPolicy {
@@ -50,7 +40,6 @@ impl ContainerPolicy {
             compact_every: Some(64),
             distill: Vec::new(),
             sharding: ShardSpec::default(),
-            mvcc: true,
         }
     }
 
@@ -91,14 +80,6 @@ impl ContainerPolicy {
     #[must_use]
     pub fn with_sharding(mut self, spec: ShardSpec) -> Self {
         self.sharding = spec;
-        self
-    }
-
-    /// Disables MVCC snapshot publication: every read goes through the
-    /// container lock (the locked baseline for benchmarks).
-    #[must_use]
-    pub fn without_mvcc(mut self) -> Self {
-        self.mvcc = false;
         self
     }
 

@@ -140,21 +140,20 @@ mod tests {
     use fungus_clock::DeterministicRng;
     use fungus_types::{DataType, TupleId};
 
-    fn target(schema: Schema) -> ContainerHandle {
-        Arc::new(OrderedRwLock::new(
+    fn target(schema: Schema) -> (ContainerHandle, Arc<ContainerMvcc>) {
+        let mut container = Container::new(
+            "cold",
+            schema,
+            ContainerPolicy::immortal(),
+            &DeterministicRng::new(1),
+        )
+        .unwrap();
+        let cell = Arc::new(container.open_cell());
+        let handle = Arc::new(OrderedRwLock::new(
             &fungus_lint_rt::hierarchy::CONTAINERS,
-            Container::new(
-                "cold",
-                schema,
-                ContainerPolicy::immortal(),
-                &DeterministicRng::new(1),
-            )
-            .unwrap(),
-        ))
-    }
-
-    fn cell() -> Arc<ContainerMvcc> {
-        Arc::new(ContainerMvcc::new())
+            container,
+        ));
+        (handle, cell)
     }
 
     fn source_schema() -> Schema {
@@ -168,7 +167,8 @@ mod tests {
 
     #[test]
     fn resolve_validates_both_sides() {
-        let tgt = target(Schema::from_pairs(&[("v", DataType::Float)]).unwrap());
+        let (tgt, cell) = target(Schema::from_pairs(&[("v", DataType::Float)]).unwrap());
+        let cell = || Arc::clone(&cell);
         // Unknown source column.
         let bad = RouteSpec {
             to: "cold".into(),
@@ -204,14 +204,14 @@ mod tests {
 
     #[test]
     fn deliver_projects_and_honours_trigger() {
-        let tgt =
+        let (tgt, cell) =
             target(Schema::from_pairs(&[("v", DataType::Float), ("k", DataType::Int)]).unwrap());
         let spec = RouteSpec {
             to: "cold".into(),
             columns: vec!["v".into(), "k".into()], // reordered projection
             trigger: DistillTrigger::Rotted,
         };
-        let route = Route::resolve(&spec, &source_schema(), Arc::clone(&tgt), cell()).unwrap();
+        let route = Route::resolve(&spec, &source_schema(), Arc::clone(&tgt), cell).unwrap();
         let departures = vec![Tuple::new(
             TupleId(0),
             Tick(1),

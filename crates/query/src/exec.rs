@@ -22,34 +22,9 @@ use fungus_storage::TombstoneReason;
 use fungus_types::{ColumnDef, DataType, FungusError, Result, Schema, Tick, Tuple, TupleId, Value};
 
 use crate::expr::AggFunc;
-use crate::extent::{QueryExtent, ReadExtent, ScanOutcome};
-use crate::parser::{parse_statement, Statement};
+use crate::extent::{QueryExtent, ReadExtent};
+use crate::parser::{parse_statement, SelectStatement, Statement};
 use crate::plan::{LogicalPlan, PlannedExpr, Planner};
-
-/// Internal point-access seam: the shaping phases only ever resolve a
-/// matched id to its tuple, one id at a time. Abstracting that single
-/// operation lets the same shaping code run against a mutable extent
-/// (whose lock-sharded layouts need `&mut` for the `get_mut` fast path)
-/// and against an immutable snapshot.
-trait TupleFetch {
-    fn fetch(&mut self, id: TupleId) -> Option<&Tuple>;
-}
-
-impl<E: QueryExtent + ?Sized> TupleFetch for &mut E {
-    fn fetch(&mut self, id: TupleId) -> Option<&Tuple> {
-        self.tuple(id)
-    }
-}
-
-/// Wraps a shared reference to a [`ReadExtent`] so snapshots satisfy
-/// [`TupleFetch`] without overlapping the `&mut E` impl.
-struct Peek<'a, E: ?Sized>(&'a E);
-
-impl<E: ReadExtent + ?Sized> TupleFetch for Peek<'_, E> {
-    fn fetch(&mut self, id: TupleId) -> Option<&Tuple> {
-        self.0.peek(id)
-    }
-}
 
 /// The answer set `A` of a query, plus the consumed tuples (the paper's
 /// "reduced extent" delta) and scan diagnostics.
@@ -118,22 +93,7 @@ pub fn execute_parsed<E: QueryExtent>(
             let plan = Planner.plan(&stmt, table.schema())?;
             execute(&plan, table, now)
         }
-        Statement::Explain(stmt) => {
-            let plan = Planner.plan(&stmt, table.schema())?;
-            Ok(ResultSet {
-                columns: vec!["plan".into()],
-                rows: plan
-                    .to_string()
-                    .lines()
-                    .map(|l| vec![Value::Str(l.to_string())])
-                    .collect(),
-                consumed: Vec::new(),
-                scanned: 0,
-                pruned_segments: 0,
-                pruned_shards: 0,
-                used_index: false,
-            })
-        }
+        Statement::Explain(stmt) => explain(&stmt, table.schema()),
         Statement::Delete { predicate, .. } => {
             let schema = table.schema().clone();
             if let Some(p) = &predicate {
@@ -142,7 +102,7 @@ pub fn execute_parsed<E: QueryExtent>(
             let matched: Vec<TupleId> = {
                 let mut ids = Vec::new();
                 for id in table.live_ids() {
-                    let t = table.tuple(id).expect("live id from the same extent");
+                    let t = table.peek(id).expect("live id from the same extent");
                     let keep = match &predicate {
                         Some(p) => p.eval_predicate(t, &schema, now)?,
                         None => true,
@@ -221,35 +181,35 @@ pub fn execute_parsed<E: QueryExtent>(
     }
 }
 
-/// Executes a compiled plan.
+/// Answers `EXPLAIN`: plans the statement against `schema` and renders
+/// the plan one line per row. Reads no data.
+pub fn explain(stmt: &SelectStatement, schema: &Schema) -> Result<ResultSet> {
+    let plan = Planner.plan(stmt, schema)?;
+    Ok(ResultSet {
+        columns: vec!["plan".into()],
+        rows: plan
+            .to_string()
+            .lines()
+            .map(|l| vec![Value::Str(l.to_string())])
+            .collect(),
+        consumed: Vec::new(),
+        scanned: 0,
+        pruned_segments: 0,
+        pruned_shards: 0,
+        used_index: false,
+    })
+}
+
+/// Executes a compiled plan: the read phases of [`execute_readonly`],
+/// then the consume/touch side effects on the ids the answer drew from.
 pub fn execute<E: QueryExtent>(plan: &LogicalPlan, table: &mut E, now: Tick) -> Result<ResultSet> {
-    let schema = table.schema().clone();
-
-    // ---- phase 1: scan ----------------------------------------------
-    // The extent owns the access-path choice (indexes, zone-map pruning,
-    // shard pruning); the matched ids come back in global id order.
-    let scan = table.scan(plan, now)?;
-
-    // ---- phase 2+3: shape, sort, limit --------------------------------
-    let (result, returned_ids) = shape_phases(plan, &mut &mut *table, &schema, scan, now)?;
-    let ResultSet {
-        columns,
-        rows,
-        scanned,
-        pruned_segments,
-        pruned_shards,
-        used_index,
-        ..
-    } = result;
-
-    // ---- phase 4: consume / touch -------------------------------------
-    let mut consumed = Vec::new();
+    let (mut result, returned_ids) = execute_readonly(plan, &*table, now)?;
     if plan.consume {
         for id in &returned_ids {
             if let Some(mut t) = table.delete(*id, TombstoneReason::Consumed) {
                 // A consumed tuple was, by definition, read once.
                 t.meta.touch(now);
-                consumed.push(t);
+                result.consumed.push(t);
             }
         }
     } else {
@@ -257,59 +217,37 @@ pub fn execute<E: QueryExtent>(plan: &LogicalPlan, table: &mut E, now: Tick) -> 
             table.touch(*id, now);
         }
     }
-
-    Ok(ResultSet {
-        columns,
-        rows,
-        consumed,
-        scanned,
-        pruned_segments,
-        pruned_shards,
-        used_index,
-    })
+    Ok(result)
 }
 
-/// Executes the **read phases** of a plan against an immutable snapshot:
-/// scan, shape, sort, limit — everything up to (but excluding) the
-/// consume/touch side effects.
+/// Executes the **read phases** of a plan: scan (the extent owns the
+/// access-path choice — indexes, zone-map pruning, shard pruning), shape,
+/// sort, limit — everything up to (but excluding) the consume/touch side
+/// effects.
 ///
 /// Returns the result set (with `consumed` always empty) plus the ids the
-/// answer was drawn from — the exact set [`execute`] would have consumed
-/// (consume plans) or touched (peek plans). Callers enforcing the MVCC
-/// isolation contract apply those effects to the **live** version
-/// themselves: a peek queues deferred touches; a `CONSUME` validates that
-/// the epoch has not advanced since the snapshot was pinned and then
-/// deletes exactly `returned_ids`, or retries on a newer snapshot.
+/// answer was drawn from — the exact set [`execute`] consumes (consume
+/// plans) or touches (peek plans). Callers enforcing the MVCC isolation
+/// contract run this against a pinned snapshot and apply those effects to
+/// the **live** version themselves: a peek queues deferred touches; a
+/// `CONSUME` validates that the epoch has not advanced since the snapshot
+/// was pinned and then deletes exactly `returned_ids`, or retries on a
+/// newer snapshot.
 pub fn execute_readonly<E: ReadExtent + ?Sized>(
     plan: &LogicalPlan,
     table: &E,
     now: Tick,
 ) -> Result<(ResultSet, Vec<TupleId>)> {
-    let schema = table.schema().clone();
+    let schema = table.schema();
     let scan = table.scan(plan, now)?;
-    shape_phases(plan, &mut Peek(table), &schema, scan, now)
-}
-
-/// Phases 2–3 shared by [`execute`] and [`execute_readonly`]: shape the
-/// matched ids into output rows, sort, and limit. Sharing this code is
-/// what makes snapshot answers bit-identical to locked answers by
-/// construction.
-fn shape_phases<T: TupleFetch>(
-    plan: &LogicalPlan,
-    fetch: &mut T,
-    schema: &Schema,
-    scan: ScanOutcome,
-    now: Tick,
-) -> Result<(ResultSet, Vec<TupleId>)> {
-    let matched = scan.matched;
     let columns: Vec<String> = plan.outputs.iter().map(|o| o.name.clone()).collect();
     let (rows, returned_ids) = if plan.aggregate {
         (
-            aggregate_rows(plan, fetch, &matched, schema, now)?,
-            matched.clone(),
+            aggregate_rows(plan, table, &scan.matched, schema, now)?,
+            scan.matched,
         )
     } else {
-        scalar_rows(plan, fetch, &matched, schema, now)?
+        scalar_rows(plan, table, &scan.matched, schema, now)?
     };
     Ok((
         ResultSet {
@@ -327,9 +265,9 @@ fn shape_phases<T: TupleFetch>(
 
 /// Scalar mode: evaluate outputs per matched tuple, sort, limit.
 /// Returns the rows plus the ids that were actually returned.
-fn scalar_rows<T: TupleFetch>(
+fn scalar_rows<E: ReadExtent + ?Sized>(
     plan: &LogicalPlan,
-    table: &mut T,
+    table: &E,
     matched: &[TupleId],
     schema: &Schema,
     now: Tick,
@@ -338,7 +276,7 @@ fn scalar_rows<T: TupleFetch>(
     let mut shaped: Vec<(Vec<Value>, Vec<Value>, TupleId)> = Vec::with_capacity(matched.len());
     for id in matched {
         let tuple = table
-            .fetch(*id)
+            .peek(*id)
             .expect("matched tuple is live within the same borrow");
         let mut row = Vec::with_capacity(plan.outputs.len());
         for out in &plan.outputs {
@@ -621,9 +559,9 @@ impl Acc {
 /// Aggregate mode: group matched tuples, fold accumulators, emit one row
 /// per group (or exactly one row for the implicit global group), then sort
 /// against the *output* schema and limit.
-fn aggregate_rows<T: TupleFetch>(
+fn aggregate_rows<E: ReadExtent + ?Sized>(
     plan: &LogicalPlan,
-    table: &mut T,
+    table: &E,
     matched: &[TupleId],
     schema: &Schema,
     now: Tick,
@@ -658,7 +596,7 @@ fn aggregate_rows<T: TupleFetch>(
     }
 
     for id in matched {
-        let tuple = table.fetch(*id).expect("matched tuple is live");
+        let tuple = table.peek(*id).expect("matched tuple is live");
         let key: Vec<Value> = key_indices
             .iter()
             .map(|i| tuple.values[*i].clone())

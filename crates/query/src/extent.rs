@@ -1,14 +1,13 @@
 //! The storage surface queries execute against.
 //!
-//! The executor used to be welded to [`TableStore`]; sharded extents
-//! (an ordered set of time-range shards, each its own store) need the same
-//! query semantics without the executor knowing the layout. [`QueryExtent`]
-//! is the seam: everything the executor touches — the scan, point access
-//! for shaping, consume-deletes, touches, and DDL-ish maintenance — goes
-//! through this trait, so `execute` produces bit-identical answers on any
-//! layout that implements it faithfully.
+//! The executor does not know the extent's layout. [`ReadExtent`] is
+//! everything the read phases touch — the scan and point access for
+//! shaping — and is implemented by live extents and sealed snapshots
+//! alike; [`QueryExtent`] adds the mutations (consume-deletes, touches,
+//! inserts, index DDL). `execute` therefore produces bit-identical answers
+//! on any layout that implements them faithfully.
 //!
-//! The contract that matters for determinism: [`scan`](QueryExtent::scan)
+//! The contract that matters for determinism: [`scan`](ReadExtent::scan)
 //! must return matched ids in **global id (insertion) order**, exactly the
 //! ids a monolithic scan of the same logical extent would match. Diagnostic
 //! counters (`scanned`, pruned counts) may differ between layouts — they
@@ -36,17 +35,16 @@ pub struct ScanOutcome {
     pub used_index: bool,
 }
 
-/// Immutable storage surface for snapshot (MVCC) reads.
+/// The read half of the storage surface.
 ///
 /// A sealed copy-on-write snapshot of an extent implements this trait so
-/// `SELECT` without `CONSUME` can run against it lock-free while writers
-/// mutate the live version. The contract is the read half of
-/// [`QueryExtent`]: [`scan`](ReadExtent::scan) returns matched ids in
-/// global id order, and [`peek`](ReadExtent::peek) resolves a matched id
-/// without mutating anything — so
+/// the read phases can run against it lock-free while writers mutate the
+/// live version: [`scan`](ReadExtent::scan) returns matched ids in global
+/// id order, and [`peek`](ReadExtent::peek) resolves a matched id without
+/// mutating anything — so
 /// [`execute_readonly`](crate::exec::execute_readonly) produces exactly
-/// the rows [`execute`](crate::exec::execute) would have produced against
-/// the same logical extent.
+/// the rows [`execute`](crate::exec::execute) produces against the same
+/// logical extent.
 pub trait ReadExtent {
     /// The extent's schema.
     fn schema(&self) -> &Schema;
@@ -55,8 +53,7 @@ pub trait ReadExtent {
     /// global id order.
     fn scan(&self, plan: &LogicalPlan, now: Tick) -> Result<ScanOutcome>;
 
-    /// The live tuple with `id`, through a shared reference (snapshots are
-    /// immutable, so no lock fast path is needed).
+    /// The live tuple with `id`.
     fn peek(&self, id: TupleId) -> Option<&Tuple>;
 }
 
@@ -75,18 +72,7 @@ impl ReadExtent for TableStore {
 }
 
 /// Mutable storage surface the query executor runs against.
-pub trait QueryExtent {
-    /// The extent's schema.
-    fn schema(&self) -> &Schema;
-
-    /// Phase-1 scan: find every live tuple matching the plan's predicate,
-    /// in global id order, using whatever indexes/pruning the layout has.
-    fn scan(&self, plan: &LogicalPlan, now: Tick) -> Result<ScanOutcome>;
-
-    /// The live tuple with `id`. Takes `&mut self` so lock-sharded layouts
-    /// can use their locks' `get_mut` fast path — no metadata is mutated.
-    fn tuple(&mut self, id: TupleId) -> Option<&Tuple>;
-
+pub trait QueryExtent: ReadExtent {
     /// Tombstones `id`, returning the removed tuple.
     fn delete(&mut self, id: TupleId, reason: TombstoneReason) -> Option<Tuple>;
 
@@ -107,18 +93,6 @@ pub trait QueryExtent {
 }
 
 impl QueryExtent for TableStore {
-    fn schema(&self) -> &Schema {
-        TableStore::schema(self)
-    }
-
-    fn scan(&self, plan: &LogicalPlan, now: Tick) -> Result<ScanOutcome> {
-        scan_store(self, plan, now)
-    }
-
-    fn tuple(&mut self, id: TupleId) -> Option<&Tuple> {
-        self.get(id)
-    }
-
     fn delete(&mut self, id: TupleId, reason: TombstoneReason) -> Option<Tuple> {
         TableStore::delete(self, id, reason)
     }

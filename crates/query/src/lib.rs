@@ -29,7 +29,7 @@ pub mod parser;
 pub mod plan;
 pub mod prune;
 
-pub use exec::{execute, execute_parsed, execute_readonly, execute_statement, ResultSet};
+pub use exec::{execute, execute_parsed, execute_readonly, execute_statement, explain, ResultSet};
 pub use expr::{AggFunc, BinOp, CmpOp, Expr, MetaField, ScalarFunc};
 pub use extent::{scan_store, QueryExtent, ReadExtent, ScanOutcome};
 pub use parser::{

@@ -18,6 +18,8 @@ use fungus_core::QueryOutcome;
 use fungus_types::{json, FungusError, Result, Value};
 
 use crate::frame::FrameError;
+/// Server-level counters in wire form: the counter snapshot itself.
+pub use crate::stats::MetricsSnapshot as StatsSummary;
 
 /// One client→server message.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,134 +96,6 @@ pub struct HealthSummary {
     pub mean_freshness: f64,
     /// Fraction of evictions that rotted unread.
     pub waste_ratio: f64,
-}
-
-/// Server-level counters in wire form — the `.health` / `.stats` view of
-/// [`crate::stats::MetricsSnapshot`], fault telemetry included. This is
-/// how an operator (or the chaos suite) checks from the *outside* that
-/// injected faults were absorbed: panics counted, workers respawned, and
-/// the decay driver still ticking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StatsSummary {
-    /// Connections handed to the worker pool.
-    pub accepted: u64,
-    /// Connections refused at capacity.
-    pub rejected: u64,
-    /// Requests decoded.
-    pub requests: u64,
-    /// Responses written back.
-    pub responses: u64,
-    /// Error responses among them.
-    pub errors: u64,
-    /// Faults injected into connection streams by the fault plan.
-    pub faults_injected: u64,
-    /// Worker threads lost to panics.
-    pub worker_panics: u64,
-    /// Workers the supervisor respawned.
-    pub workers_respawned: u64,
-    /// Completed decay-driver ticks (0 without a driver).
-    pub driver_ticks: u64,
-    /// Resident shards across every container.
-    #[serde(default)]
-    pub shards: u64,
-    /// Shards detached whole in O(1) instead of tuple-by-tuple eviction.
-    #[serde(default)]
-    pub shards_dropped: u64,
-    /// Whole shards skipped by query-time shard pruning.
-    #[serde(default)]
-    pub shards_pruned: u64,
-    /// Tail shards sealed early by the adaptive split rule.
-    #[serde(default)]
-    pub shards_split: u64,
-    /// Underfull sealed shards merged into a neighbor.
-    #[serde(default)]
-    pub shards_merged: u64,
-    /// Shards reassembled from a shard-aware checkpoint restore.
-    #[serde(default)]
-    pub shards_restored: u64,
-    /// Distillation pipelines attached across every container.
-    #[serde(default)]
-    pub sketches: u64,
-    /// `SUMMARIZE` / `.sketch` reads served from those pipelines.
-    #[serde(default)]
-    pub sketch_hits: u64,
-    /// Values folded into the pipelines from departing tuples.
-    #[serde(default)]
-    pub sketch_absorbed: u64,
-    /// Sum of per-container MVCC epoch counters.
-    #[serde(default)]
-    pub mvcc_epoch: u64,
-    /// MVCC snapshot versions published.
-    #[serde(default)]
-    pub mvcc_published: u64,
-    /// Superseded versions handed to the reclamation list.
-    #[serde(default)]
-    pub mvcc_retired: u64,
-    /// Retired versions whose memory was released.
-    #[serde(default)]
-    pub mvcc_reclaimed: u64,
-    /// Non-consuming reads served lock-free from sealed snapshots.
-    #[serde(default)]
-    pub mvcc_snapshot_reads: u64,
-    /// Optimistic `CONSUME` attempts that lost the epoch race and retried.
-    #[serde(default)]
-    pub mvcc_consume_retries: u64,
-    /// `CONSUME`s that fell back to the fully locked path.
-    #[serde(default)]
-    pub mvcc_consume_fallbacks: u64,
-    /// Sessions currently registered on reactor threads (0 under the
-    /// threaded model).
-    #[serde(default)]
-    pub reactor_sessions: u64,
-    /// Readiness events delivered to reactor connections.
-    #[serde(default)]
-    pub reactor_ready_events: u64,
-    /// Dispatches parked on a full worker queue (backpressure stalls).
-    #[serde(default)]
-    pub reactor_stalls: u64,
-    /// Self-pipe wake bytes the reactors drained.
-    #[serde(default)]
-    pub reactor_wakeups: u64,
-    /// High-water mark of one connection's buffered response bytes.
-    #[serde(default)]
-    pub reactor_write_hwm: u64,
-}
-
-impl From<crate::stats::MetricsSnapshot> for StatsSummary {
-    fn from(m: crate::stats::MetricsSnapshot) -> Self {
-        StatsSummary {
-            accepted: m.accepted,
-            rejected: m.rejected,
-            requests: m.requests,
-            responses: m.responses,
-            errors: m.errors,
-            faults_injected: m.faults_injected,
-            worker_panics: m.worker_panics,
-            workers_respawned: m.workers_respawned,
-            driver_ticks: m.driver_ticks,
-            shards: m.shards,
-            shards_dropped: m.shards_dropped,
-            shards_pruned: m.shards_pruned,
-            shards_split: m.shards_split,
-            shards_merged: m.shards_merged,
-            shards_restored: m.shards_restored,
-            sketches: m.sketches,
-            sketch_hits: m.sketch_hits,
-            sketch_absorbed: m.sketch_absorbed,
-            mvcc_epoch: m.mvcc_epoch,
-            mvcc_published: m.mvcc_published,
-            mvcc_retired: m.mvcc_retired,
-            mvcc_reclaimed: m.mvcc_reclaimed,
-            mvcc_snapshot_reads: m.mvcc_snapshot_reads,
-            mvcc_consume_retries: m.mvcc_consume_retries,
-            mvcc_consume_fallbacks: m.mvcc_consume_fallbacks,
-            reactor_sessions: m.reactor_sessions,
-            reactor_ready_events: m.reactor_ready_events,
-            reactor_stalls: m.reactor_stalls,
-            reactor_wakeups: m.reactor_wakeups,
-            reactor_write_hwm: m.reactor_write_hwm,
-        }
-    }
 }
 
 /// Coarse error classes clients can branch on.

@@ -567,6 +567,22 @@ mod tests {
     }
 
     #[test]
+    fn write_buffer_does_not_grow_with_responses_served() {
+        // A long-lived session: every response is flushed before the next
+        // one is enqueued, so what `out` holds on to must not depend on how
+        // many responses have passed through it.
+        let capacity_after = |n: usize| {
+            let mut conn = SessionConn::new(MemStream::new(Vec::new(), 64), session());
+            for _ in 0..n {
+                conn.enqueue_response(&Response::Pong);
+                assert_eq!(conn.on_writable().responses, 1);
+            }
+            conn.out.capacity()
+        };
+        assert_eq!(capacity_after(5_000), capacity_after(5));
+    }
+
+    #[test]
     fn requeue_preserves_request_order() {
         let input = [ping_frame(), ping_frame()].concat();
         let mut conn = SessionConn::new(MemStream::new(input, 64), session());

@@ -139,41 +139,11 @@ impl Session {
             ".stats" => match self.stats_summary() {
                 Some(s) => Response::Rows {
                     columns: vec!["counter".into(), "value".into()],
-                    rows: vec![
-                        ("accepted", s.accepted),
-                        ("rejected", s.rejected),
-                        ("requests", s.requests),
-                        ("responses", s.responses),
-                        ("errors", s.errors),
-                        ("faults_injected", s.faults_injected),
-                        ("worker_panics", s.worker_panics),
-                        ("workers_respawned", s.workers_respawned),
-                        ("driver_ticks", s.driver_ticks),
-                        ("shards", s.shards),
-                        ("shards_dropped", s.shards_dropped),
-                        ("shards_pruned", s.shards_pruned),
-                        ("shards_split", s.shards_split),
-                        ("shards_merged", s.shards_merged),
-                        ("shards_restored", s.shards_restored),
-                        ("sketches", s.sketches),
-                        ("sketch_hits", s.sketch_hits),
-                        ("sketch_absorbed", s.sketch_absorbed),
-                        ("mvcc_epoch", s.mvcc_epoch),
-                        ("mvcc_published", s.mvcc_published),
-                        ("mvcc_retired", s.mvcc_retired),
-                        ("mvcc_reclaimed", s.mvcc_reclaimed),
-                        ("mvcc_snapshot_reads", s.mvcc_snapshot_reads),
-                        ("mvcc_consume_retries", s.mvcc_consume_retries),
-                        ("mvcc_consume_fallbacks", s.mvcc_consume_fallbacks),
-                        ("reactor_sessions", s.reactor_sessions),
-                        ("reactor_ready_events", s.reactor_ready_events),
-                        ("reactor_stalls", s.reactor_stalls),
-                        ("reactor_wakeups", s.reactor_wakeups),
-                        ("reactor_write_hwm", s.reactor_write_hwm),
-                    ]
-                    .into_iter()
-                    .map(|(name, v)| vec![Value::Str(name.into()), Value::Int(v as i64)])
-                    .collect(),
+                    rows: s
+                        .rows()
+                        .into_iter()
+                        .map(|(name, v)| vec![Value::Str(name.into()), Value::Int(v as i64)])
+                        .collect(),
                     distilled: 0,
                     consumed: 0,
                 },
@@ -244,9 +214,7 @@ impl Session {
 
     /// The server counters in wire form, when this session has them.
     fn stats_summary(&self) -> Option<StatsSummary> {
-        self.stats
-            .as_ref()
-            .map(|s| StatsSummary::from(s.snapshot()))
+        self.stats.as_ref().map(|s| s.snapshot())
     }
 }
 

@@ -12,6 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fungus_lint_rt::{hierarchy, OrderedMutex};
+use serde::{Deserialize, Serialize};
 
 use fungus_core::{MvccTelemetry, ShardTelemetry, SharedDatabase, SketchTelemetry};
 
@@ -78,8 +79,13 @@ impl Default for ServerStats {
     }
 }
 
-/// A point-in-time copy of the server counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// A point-in-time copy of the server counters, and their wire form: the
+/// `.health` / `.stats` view, fault telemetry included. This is how an
+/// operator (or the chaos suite) checks from the *outside* that injected
+/// faults were absorbed: panics counted, workers respawned, and the decay
+/// driver still ticking. Counters added after the first wire release
+/// default to 0 when an older peer omits them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Connections handed to the worker pool.
     pub accepted: u64,
@@ -102,52 +108,112 @@ pub struct MetricsSnapshot {
     pub driver_ticks: u64,
     /// Resident shards across every container (0 when no catalog is
     /// linked).
+    #[serde(default)]
     pub shards: u64,
     /// Shards detached whole in O(1) — rot drops plus dead-shard
     /// compaction drops.
+    #[serde(default)]
     pub shards_dropped: u64,
     /// Whole shards skipped by query-time shard pruning.
+    #[serde(default)]
     pub shards_pruned: u64,
     /// Tail shards sealed early by the adaptive split rule.
+    #[serde(default)]
     pub shards_split: u64,
     /// Underfull sealed shards merged into a time-adjacent neighbor.
+    #[serde(default)]
     pub shards_merged: u64,
     /// Shards reassembled from a shard-aware checkpoint restore.
+    #[serde(default)]
     pub shards_restored: u64,
     /// Distillation pipelines attached across every container (0 when no
     /// catalog is linked).
+    #[serde(default)]
     pub sketches: u64,
     /// `SUMMARIZE` / `.sketch` reads served from those pipelines.
+    #[serde(default)]
     pub sketch_hits: u64,
     /// Values folded into the pipelines from departing tuples.
+    #[serde(default)]
     pub sketch_absorbed: u64,
     /// Sum of per-container MVCC epoch counters.
+    #[serde(default)]
     pub mvcc_epoch: u64,
     /// MVCC snapshot versions published.
+    #[serde(default)]
     pub mvcc_published: u64,
     /// Superseded versions handed to the reclamation list.
+    #[serde(default)]
     pub mvcc_retired: u64,
     /// Retired versions whose memory was released (equals `mvcc_retired`
     /// at reader quiescence).
+    #[serde(default)]
     pub mvcc_reclaimed: u64,
     /// Non-consuming reads served lock-free from sealed snapshots.
+    #[serde(default)]
     pub mvcc_snapshot_reads: u64,
     /// Optimistic `CONSUME` attempts that lost the epoch race and
     /// retried.
+    #[serde(default)]
     pub mvcc_consume_retries: u64,
-    /// `CONSUME`s that fell back to the fully locked path.
+    /// `CONSUME`s whose last attempt ran lock-first.
+    #[serde(default)]
     pub mvcc_consume_fallbacks: u64,
     /// Sessions currently registered on reactor threads (0 under the
     /// threaded model).
+    #[serde(default)]
     pub reactor_sessions: u64,
     /// Readiness events delivered to reactor connections.
+    #[serde(default)]
     pub reactor_ready_events: u64,
     /// Dispatches parked on a full worker queue (backpressure stalls).
+    #[serde(default)]
     pub reactor_stalls: u64,
     /// Self-pipe wake bytes the reactors drained.
+    #[serde(default)]
     pub reactor_wakeups: u64,
     /// High-water mark of one connection's buffered response bytes.
+    #[serde(default)]
     pub reactor_write_hwm: u64,
+}
+
+impl MetricsSnapshot {
+    /// Every counter as a `(name, value)` row, in `.stats` order; the names
+    /// are the wire field names.
+    pub fn rows(&self) -> [(&'static str, u64); 30] {
+        [
+            ("accepted", self.accepted),
+            ("rejected", self.rejected),
+            ("requests", self.requests),
+            ("responses", self.responses),
+            ("errors", self.errors),
+            ("faults_injected", self.faults_injected),
+            ("worker_panics", self.worker_panics),
+            ("workers_respawned", self.workers_respawned),
+            ("driver_ticks", self.driver_ticks),
+            ("shards", self.shards),
+            ("shards_dropped", self.shards_dropped),
+            ("shards_pruned", self.shards_pruned),
+            ("shards_split", self.shards_split),
+            ("shards_merged", self.shards_merged),
+            ("shards_restored", self.shards_restored),
+            ("sketches", self.sketches),
+            ("sketch_hits", self.sketch_hits),
+            ("sketch_absorbed", self.sketch_absorbed),
+            ("mvcc_epoch", self.mvcc_epoch),
+            ("mvcc_published", self.mvcc_published),
+            ("mvcc_retired", self.mvcc_retired),
+            ("mvcc_reclaimed", self.mvcc_reclaimed),
+            ("mvcc_snapshot_reads", self.mvcc_snapshot_reads),
+            ("mvcc_consume_retries", self.mvcc_consume_retries),
+            ("mvcc_consume_fallbacks", self.mvcc_consume_fallbacks),
+            ("reactor_sessions", self.reactor_sessions),
+            ("reactor_ready_events", self.reactor_ready_events),
+            ("reactor_stalls", self.reactor_stalls),
+            ("reactor_wakeups", self.reactor_wakeups),
+            ("reactor_write_hwm", self.reactor_write_hwm),
+        ]
+    }
 }
 
 impl ServerStats {

@@ -47,7 +47,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use fungus_clock::DeterministicRng;
-use fungus_query::{scan_store, LogicalPlan, QueryExtent, ScanOutcome};
+use fungus_query::{scan_store, LogicalPlan, QueryExtent, ReadExtent, ScanOutcome};
 use fungus_storage::{
     CompactionReport, DecaySurface, FreshnessHistogram, Slot, SpotCensus, StorageConfig,
     TableStats, TableStore, TombstoneReason,
@@ -1263,7 +1263,7 @@ impl DecaySurface for ShardedExtent {
     }
 }
 
-impl QueryExtent for ShardedExtent {
+impl ReadExtent for ShardedExtent {
     fn schema(&self) -> &Schema {
         &self.schema
     }
@@ -1297,11 +1297,13 @@ impl QueryExtent for ShardedExtent {
         Ok(out)
     }
 
-    fn tuple(&mut self, id: TupleId) -> Option<&Tuple> {
+    fn peek(&self, id: TupleId) -> Option<&Tuple> {
         let i = self.locate(id)?;
         self.shards[i].store().get(id)
     }
+}
 
+impl QueryExtent for ShardedExtent {
     fn delete(&mut self, id: TupleId, reason: TombstoneReason) -> Option<Tuple> {
         let i = self.locate(id)?;
         self.shards[i].store_mut().delete(id, reason)
@@ -1550,7 +1552,7 @@ mod tests {
         let mono_live: Vec<Tuple> = mono.iter_live().cloned().collect();
         let mut ext_live = Vec::new();
         for id in ext.live_ids() {
-            ext_live.push(QueryExtent::tuple(&mut ext, id).unwrap().clone());
+            ext_live.push(ReadExtent::peek(&ext, id).unwrap().clone());
         }
         assert_eq!(mono_live, ext_live);
 
@@ -1561,10 +1563,9 @@ mod tests {
         assert_eq!(back.evicted_rotted(), ext.evicted_rotted());
         assert_eq!(back.infected_ids(), ext.infected_ids());
         assert_eq!(back.total_inserted(), ext.total_inserted());
-        let mut back_mut = back;
         let mut back_live = Vec::new();
-        for id in back_mut.live_ids() {
-            back_live.push(QueryExtent::tuple(&mut back_mut, id).unwrap().clone());
+        for id in back.live_ids() {
+            back_live.push(ReadExtent::peek(&back, id).unwrap().clone());
         }
         assert_eq!(back_live, ext_live);
     }

@@ -145,9 +145,9 @@ fn drop_container_races_with_driver() {
 /// `SUMMARIZE` served from sealed snapshots while writers ingest and the
 /// decay driver cooks departing tuples: no deadlock, every read answers,
 /// and the sketch hit counter — shared between the live distiller and
-/// every published snapshot clone — accounts for *all* reads, locked or
-/// snapshot-served. This pins the fix for the counter the snapshot path
-/// used to strand on stale clones.
+/// every published snapshot clone — accounts for *all* reads, whichever
+/// version served them. This pins the fix for the counter the snapshot
+/// path used to strand on stale clones.
 #[test]
 fn concurrent_summarize_and_ingest_share_one_hit_counter() {
     let mut db = Database::new(411);

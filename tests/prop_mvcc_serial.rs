@@ -1,14 +1,15 @@
 //! Property harness for the MVCC serializability guarantee: any
 //! interleaving of snapshot reads, consuming reads, inserts, and decay
-//! ticks over an MVCC catalog is observationally equivalent to the same
-//! history under the fully locked one-shard semantics — the oracle.
+//! ticks through `Database::execute` is observationally equivalent to the
+//! same history with every read run by the serial executor on the live
+//! one-shard extent under the container write lock — the oracle.
 //!
-//! Under MVCC, non-consuming `SELECT`s resolve against the latest sealed
-//! snapshot (never the container lock), `CONSUME` runs the optimistic
-//! read-own-snapshot / write-live / retry-on-epoch-advance protocol, and
-//! decay ticks republish the version they mutate. None of that machinery
-//! may move an answer: every query's rows, every consumed set, and the
-//! surviving extent must match the locked one-shard run bit-for-bit.
+//! Through the database, non-consuming `SELECT`s resolve against the
+//! latest sealed snapshot (never the container lock), `CONSUME` runs the
+//! optimistic read-own-snapshot / write-live / retry-on-epoch-advance
+//! protocol, and decay ticks republish the version they mutate. None of
+//! that machinery may move an answer: every query's rows, every consumed
+//! set, and the surviving extent must match the serial run bit-for-bit.
 //!
 //! Deliberately *excluded* from the observables: the engine's query
 //! counter (pure snapshot reads are counted in MVCC telemetry, not
@@ -24,6 +25,7 @@
 
 use proptest::prelude::*;
 
+use spacefungus::fungus_query::SelectStatement;
 use spacefungus::prelude::*;
 
 /// One step of the interleaved workload.
@@ -82,12 +84,9 @@ fn fungus() -> FungusSpec {
     })
 }
 
-fn build(seed: u64, mvcc: bool, spec: ShardSpec) -> Database {
+fn build(seed: u64, spec: ShardSpec) -> Database {
     let schema = Schema::from_pairs(&[("v", DataType::Int)]).unwrap();
-    let mut policy = ContainerPolicy::new(fungus()).with_sharding(spec);
-    if !mvcc {
-        policy = policy.without_mvcc();
-    }
+    let policy = ContainerPolicy::new(fungus()).with_sharding(spec);
     let mut db = Database::new(seed);
     db.create_container("t", schema, policy).unwrap();
     db
@@ -109,18 +108,46 @@ struct Observed {
     survivors: Vec<Vec<Value>>,
 }
 
-fn run_workload(ops: &[Op], seed: u64, mvcc: bool, spec: ShardSpec) -> Observed {
-    let db = build(seed, mvcc, spec);
+fn select_stmt(sql: &str) -> SelectStatement {
+    match parse_statement(sql).unwrap() {
+        Statement::Select(s) => s,
+        other => panic!("expected select, got {other:?}"),
+    }
+}
+
+/// How a run answers its reads.
+#[derive(Clone, Copy)]
+enum Reads {
+    /// `Database::execute`: snapshot reads and the optimistic `CONSUME`.
+    Database,
+    /// The oracle: plan + `Container::query` on the live extent, under the
+    /// container write lock.
+    Serial,
+}
+
+fn read(db: &Database, how: Reads, sql: &str) -> ResultSet {
+    match how {
+        Reads::Database => db.execute(sql).unwrap().result,
+        Reads::Serial => {
+            let c = db.container("t").unwrap();
+            let mut guard = c.write();
+            let plan = guard.plan(&select_stmt(sql)).unwrap();
+            guard.query(&plan, db.now()).unwrap()
+        }
+    }
+}
+
+fn run_workload(ops: &[Op], seed: u64, how: Reads, spec: ShardSpec) -> Observed {
+    let db = build(seed, spec);
     let mut out = Observed {
         answers: Vec::new(),
         consumed: Vec::new(),
         survivors: Vec::new(),
     };
-    // Outstanding pins, oldest first. The oracle (mvcc off) cannot pin —
-    // Database::pin_snapshot returns None when nothing was published — so
-    // it records the answer it would give at pin time instead; that is
-    // exactly the serial point the MVCC read must land on.
-    let mut pins: Vec<(Option<SnapshotHandle>, Vec<Vec<Value>>)> = Vec::new();
+    // Outstanding pins, oldest first. The oracle holds no snapshot: it
+    // records the answer it gives at pin time, which is exactly the serial
+    // point the delayed snapshot read must land on.
+    let mut pins: Vec<(SnapshotHandle, Vec<Vec<Value>>)> = Vec::new();
     for op in ops {
         match op {
             Op::Insert(v) => {
@@ -131,55 +158,37 @@ fn run_workload(ops: &[Op], seed: u64, mvcc: bool, spec: ShardSpec) -> Observed 
             }
             Op::Recent(back) => {
                 let floor = db.now().get().saturating_sub(*back);
-                let o = db
-                    .execute(&format!(
-                        "SELECT * FROM t WHERE $inserted_at >= {floor} AND v >= -50"
-                    ))
-                    .unwrap();
-                out.answers.push(o.result.rows);
+                let sql = format!("SELECT * FROM t WHERE $inserted_at >= {floor} AND v >= -50");
+                out.answers.push(read(&db, how, &sql).rows);
             }
             Op::FreshCount => {
-                let o = db
-                    .execute("SELECT COUNT(*) FROM t WHERE $freshness >= 0.5")
-                    .unwrap();
-                out.answers.push(o.result.rows);
+                let sql = "SELECT COUNT(*) FROM t WHERE $freshness >= 0.5";
+                out.answers.push(read(&db, how, sql).rows);
             }
             Op::Consume(v) => {
-                let o = db
-                    .execute(&format!("SELECT * FROM t WHERE v >= {v} CONSUME"))
-                    .unwrap();
+                let r = read(&db, how, &format!("SELECT * FROM t WHERE v >= {v} CONSUME"));
                 out.consumed
-                    .push(o.result.consumed.iter().map(|t| t.values.clone()).collect());
-                out.answers.push(o.result.rows);
+                    .push(r.consumed.iter().map(|t| t.values.clone()).collect());
+                out.answers.push(r.rows);
             }
             Op::Pin => {
                 let handle = db.pin_snapshot("t").unwrap();
-                let at_pin = db.execute(SURVIVORS).unwrap().result.rows;
-                pins.push((handle, at_pin));
+                pins.push((handle, read(&db, how, SURVIVORS).rows));
             }
             Op::ReadPinned => {
                 if pins.is_empty() {
                     continue;
                 }
                 let (handle, at_pin) = pins.remove(0);
-                let rows = match handle {
-                    Some(h) => {
-                        let stmt = match parse_statement(SURVIVORS).unwrap() {
-                            Statement::Select(s) => s,
-                            other => panic!("expected select, got {other:?}"),
-                        };
-                        h.select(&stmt).unwrap().rows
-                    }
-                    // The locked oracle has no snapshot to hold; its
-                    // serial point is the recorded pin-time answer.
-                    None => at_pin,
-                };
-                out.answers.push(rows);
+                out.answers.push(match how {
+                    Reads::Database => handle.select(&select_stmt(SURVIVORS)).unwrap().rows,
+                    Reads::Serial => at_pin,
+                });
             }
         }
     }
     drop(pins);
-    out.survivors = db.execute(SURVIVORS).unwrap().result.rows;
+    out.survivors = read(&db, how, SURVIVORS).rows;
     out
 }
 
@@ -187,7 +196,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The MVCC read/consume/decay machinery over one-shard, fixed-shard,
-    /// and adaptive layouts observes the exact history of the locked
+    /// and adaptive layouts observes the exact history of the serial
     /// one-shard oracle, case after case.
     #[test]
     fn mvcc_histories_serialize_against_the_locked_oracle(
@@ -195,12 +204,12 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let inserts = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count() as u64;
-        let oracle = run_workload(&ops, seed, false, ShardSpec::default());
+        let oracle = run_workload(&ops, seed, Reads::Serial, ShardSpec::default());
         for spec in layouts(inserts) {
-            let mvcc = run_workload(&ops, seed, true, spec);
+            let mvcc = run_workload(&ops, seed, Reads::Database, spec);
             prop_assert_eq!(
                 &oracle, &mvcc,
-                "mvcc layout {:?} diverged from the locked oracle", spec
+                "mvcc layout {:?} diverged from the serial oracle", spec
             );
         }
     }
@@ -225,7 +234,7 @@ proptest! {
             let inserts = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count() as u64;
             ShardSpec::new((inserts / shards).max(1)).with_workers(1)
         };
-        let db = build(seed, true, spec);
+        let db = build(seed, spec);
         let mut pins = Vec::new();
         for op in &ops {
             match op {

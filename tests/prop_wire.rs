@@ -9,6 +9,7 @@ use spacefungus::fungus_server::frame::{
     decode_frame, encode_frame, read_frame, FrameError, HEADER_LEN, MAX_FRAME,
 };
 use spacefungus::fungus_server::{ErrorCode, Request, Response, StatsSummary};
+use spacefungus::fungus_types::json::{self, Json};
 use spacefungus::fungus_types::Value;
 
 proptest! {
@@ -148,40 +149,56 @@ proptest! {
     fn stats_summary_round_trips_any_counters(
         counters in proptest::collection::vec(0u64..(1 << 53), 30),
     ) {
+        let summary = StatsSummary {
+            accepted: counters[0],
+            rejected: counters[1],
+            requests: counters[2],
+            responses: counters[3],
+            errors: counters[4],
+            faults_injected: counters[5],
+            worker_panics: counters[6],
+            workers_respawned: counters[7],
+            driver_ticks: counters[8],
+            shards: counters[9],
+            shards_dropped: counters[10],
+            shards_pruned: counters[11],
+            shards_split: counters[12],
+            shards_merged: counters[13],
+            shards_restored: counters[14],
+            sketches: counters[15],
+            sketch_hits: counters[16],
+            sketch_absorbed: counters[17],
+            mvcc_epoch: counters[18],
+            mvcc_published: counters[19],
+            mvcc_retired: counters[20],
+            mvcc_reclaimed: counters[21],
+            mvcc_snapshot_reads: counters[22],
+            mvcc_consume_retries: counters[23],
+            mvcc_consume_fallbacks: counters[24],
+            reactor_sessions: counters[25],
+            reactor_ready_events: counters[26],
+            reactor_stalls: counters[27],
+            reactor_wakeups: counters[28],
+            reactor_write_hwm: counters[29],
+        };
+        // `.stats` renders `rows()`: one row per wire field, under the
+        // field's wire name, in declaration order.
+        let rows = summary.rows();
+        let wire = match json::parse(&json::to_string(&summary).unwrap()).unwrap() {
+            Json::Obj(fields) => fields,
+            other => panic!("summary serialized as {other:?}"),
+        };
+        let mut names: Vec<&str> = rows.iter().map(|(name, _)| *name).collect();
+        names.sort_unstable();
+        prop_assert_eq!(names, wire.keys().map(String::as_str).collect::<Vec<_>>());
+        for (name, value) in rows {
+            prop_assert_eq!(&wire[name], &Json::Num(value as f64), "row {}", name);
+        }
+        prop_assert_eq!(rows.map(|(_, value)| value).to_vec(), counters);
+
         let resp = Response::Health {
             reports: vec![],
-            server: Some(StatsSummary {
-                accepted: counters[0],
-                rejected: counters[1],
-                requests: counters[2],
-                responses: counters[3],
-                errors: counters[4],
-                faults_injected: counters[5],
-                worker_panics: counters[6],
-                workers_respawned: counters[7],
-                driver_ticks: counters[8],
-                shards: counters[9],
-                shards_dropped: counters[10],
-                shards_pruned: counters[11],
-                shards_split: counters[12],
-                shards_merged: counters[13],
-                shards_restored: counters[14],
-                sketches: counters[15],
-                sketch_hits: counters[16],
-                sketch_absorbed: counters[17],
-                mvcc_epoch: counters[18],
-                mvcc_published: counters[19],
-                mvcc_retired: counters[20],
-                mvcc_reclaimed: counters[21],
-                mvcc_snapshot_reads: counters[22],
-                mvcc_consume_retries: counters[23],
-                mvcc_consume_fallbacks: counters[24],
-                reactor_sessions: counters[25],
-                reactor_ready_events: counters[26],
-                reactor_stalls: counters[27],
-                reactor_wakeups: counters[28],
-                reactor_write_hwm: counters[29],
-            }),
+            server: Some(summary),
         };
         let bytes = resp.encode().unwrap();
         prop_assert_eq!(Response::decode(&bytes).unwrap(), resp);
