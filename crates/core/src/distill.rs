@@ -85,9 +85,14 @@ struct Pipeline {
 }
 
 /// The set of distillation pipelines attached to one container.
+///
+/// Every sealed MVCC version carries a clone, and most publishes (inserts,
+/// touches, decay that evicts nothing) absorb nothing, so the pipelines sit
+/// behind one `Arc`: a clone is a reference count, and the sketches are
+/// copied only by the first absorb after a version was sealed.
 #[derive(Debug, Clone)]
 pub struct Distiller {
-    pipelines: Vec<Pipeline>,
+    pipelines: Arc<Vec<Pipeline>>,
 }
 
 impl Distiller {
@@ -121,14 +126,21 @@ impl Distiller {
                 hits: Arc::new(AtomicU64::new(0)),
             });
         }
-        Ok(Distiller { pipelines })
+        Ok(Distiller {
+            pipelines: Arc::new(pipelines),
+        })
     }
 
     /// Offers one departing tuple to every matching pipeline, stamped at
     /// the virtual time of the departure. Time-fading pipelines fold the
     /// observation with `now`'s decay weight; timeless summaries ignore it.
     pub fn absorb_at(&mut self, tuple: &Tuple, rotted: bool, now: Tick) {
-        for p in &mut self.pipelines {
+        // A departure no pipeline folds (rot under a consume-only
+        // distiller) must not un-share the sketches.
+        if !self.accepts(rotted) {
+            return;
+        }
+        for p in Arc::make_mut(&mut self.pipelines).iter_mut() {
             if !p.spec.trigger.accepts(rotted) {
                 continue;
             }
@@ -217,7 +229,13 @@ impl Distiller {
 
     /// True when at least one pipeline folds rot-evicted departures.
     pub fn accepts_rotted(&self) -> bool {
-        self.pipelines.iter().any(|p| p.spec.trigger.accepts(true))
+        self.accepts(true)
+    }
+
+    fn accepts(&self, rotted: bool) -> bool {
+        self.pipelines
+            .iter()
+            .any(|p| p.spec.trigger.accepts(rotted))
     }
 
     /// Number of pipelines.

@@ -10,6 +10,24 @@
 //! pin the head version (one `Arc` clone under a read lock of the head
 //! slot — never the container lock) and resolve entirely against it.
 //!
+//! ## What a version shares
+//!
+//! A version is not a copy of the extent. Level by level: a shard nothing
+//! wrote since the last publish is the same `Arc<TableStore>` in both
+//! versions; a written shard is a new `TableStore` holding the same
+//! `Arc<Segment>` and index `Arc`s except those a write landed in; a
+//! copied segment is one slot array whose rows still share their
+//! `Arc<[Value]>`; the schema and — unless something was absorbed — the
+//! distiller's pipelines are one shared allocation each. So the cost of
+//! sealing is paid by the writes between two publishes, once per segment
+//! per epoch: an insert copies the tail segment and the tail shard's
+//! indexes, a touch or a decay step the segment holding the tuple, a
+//! delete that segment plus the shard's indexes, a consume or a rot sweep
+//! that absorbs additionally the pipelines. What still scales with the
+//! extent is a tick of a fungus that writes every live row (and the
+//! deferred touches of reads that returned rows from every segment): it
+//! un-shares every segment once — ROADMAP item 1(a) removes those writes.
+//!
 //! ## `CONSUME` isolation
 //!
 //! `CONSUME` is a read *and* a write. Its isolation level is
@@ -44,7 +62,9 @@
 //! Readers register by holding the version `Arc`. A superseded head is
 //! downgraded to a `Weak` on the `retired` list; sweeps (on every publish
 //! and on telemetry reads) drop entries whose last reader departed and
-//! count them as reclaimed. Quiescence ⇒ `retired == reclaimed`.
+//! count them as reclaimed. Quiescence ⇒ `retired == reclaimed`. Dropping
+//! a version frees exactly the segments, indexes and pipelines its
+//! successors replaced; the rest live on in the head.
 //!
 //! Lock classes (enforced by `fungus-lint` + the runtime hierarchy):
 //! `touches` = rank 44, `head` = rank 45, `retired` = rank 46 — all above
@@ -64,7 +84,8 @@ use crate::distill::Distiller;
 use crate::metrics::MvccTelemetry;
 
 /// One sealed snapshot: the extent and distiller state as of `epoch`.
-/// Immutable once published; shared by readers via `Arc`.
+/// Immutable once published; shared by readers via `Arc`, and sharing with
+/// its neighbours everything no write came between (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Versioned {
     epoch: u64,
@@ -315,6 +336,11 @@ impl SnapshotHandle {
     /// Live tuples in the pinned snapshot.
     pub fn live_count(&self) -> usize {
         self.version.extent().live_count()
+    }
+
+    /// The pinned sealed extent.
+    pub fn extent(&self) -> &ExtentSnapshot {
+        self.version.extent()
     }
 
     /// Runs a non-consuming `SELECT` against the pinned snapshot at the

@@ -224,7 +224,7 @@ mod tests {
         assert_eq!(route.deliver(&departures, true, Tick(2)).unwrap(), 1);
         let store = tgt.read().extent().to_monolithic().unwrap();
         let row = store.iter_live().next().unwrap();
-        assert_eq!(row.values, vec![Value::Float(1.5), Value::Int(7)]);
+        assert_eq!(row.values.to_vec(), vec![Value::Float(1.5), Value::Int(7)]);
         assert_eq!(
             row.meta.inserted_at,
             Tick(2),

@@ -220,6 +220,9 @@ pub struct ShardedExtent {
     storage: StorageConfig,
     spec: ShardSpec,
     shards: Vec<Shard>,
+    /// The shard a write last resolved an id to (see
+    /// [`locate_mut`](Self::locate_mut)).
+    write_cursor: usize,
     /// Id ranges of dropped shards, ascending and non-overlapping.
     dropped: Vec<DroppedRange>,
     /// Next tuple id to allocate (== total ids ever allocated).
@@ -264,6 +267,7 @@ impl ShardedExtent {
             storage,
             spec,
             shards: Vec::new(),
+            write_cursor: 0,
             dropped: Vec::new(),
             next_id: 0,
             folded_rotted: 0,
@@ -406,6 +410,18 @@ impl ShardedExtent {
     fn locate(&self, id: TupleId) -> Option<usize> {
         let idx = self.shards.partition_point(|s| s.end() <= id.get());
         (idx < self.shards.len() && self.shards[idx].base() <= id.get()).then_some(idx)
+    }
+
+    /// [`locate`](Self::locate) for the per-id write paths. Fungi, eviction
+    /// sweeps and deferred touches feed ids in ascending order, so the
+    /// shard resolved last time is re-checked before searching (the store
+    /// below does the same for its segments).
+    fn locate_mut(&mut self, id: TupleId) -> Option<&mut Shard> {
+        let hit = self.shards.get(self.write_cursor);
+        if !hit.is_some_and(|s| s.base() <= id.get() && id.get() < s.end()) {
+            self.write_cursor = self.locate(id)?;
+        }
+        Some(&mut self.shards[self.write_cursor])
     }
 
     /// Opens a fresh tail shard when there is none or the tail is sealed.
@@ -662,9 +678,10 @@ impl ShardedExtent {
 
     /// Publishes a sealed MVCC snapshot of the extent's current state.
     ///
-    /// Each shard hands over its copy-on-write store (a cached `Arc` when
-    /// the shard is clean since the last publish, one clone when dirty)
-    /// plus its exact summary. The snapshot shares the extent's
+    /// Each shard hands over its sealed store (the cached `Arc` when the
+    /// shard is clean since the last publish; otherwise a new twin that
+    /// shares every segment and index, see [`Shard::snapshot_store`]) plus
+    /// its exact summary. The snapshot shares the extent's schema and
     /// `shards_pruned` gauge.
     pub fn publish_snapshot(&mut self) -> ExtentSnapshot {
         let shards = self
@@ -841,6 +858,7 @@ impl ShardedExtent {
             storage,
             spec: manifest.spec,
             shards,
+            write_cursor: 0,
             dropped: manifest
                 .dropped
                 .iter()
@@ -1195,25 +1213,22 @@ impl DecaySurface for ShardedExtent {
     }
 
     fn decay(&mut self, id: TupleId, amount: f64) -> Option<Freshness> {
-        let i = self.locate(id)?;
-        let sh = &mut self.shards[i];
+        let sh = self.locate_mut(id)?;
         let f = sh.store_mut().decay(id, amount)?;
         sh.note_freshness(f.get());
         Some(f)
     }
 
     fn scale_freshness(&mut self, id: TupleId, factor: f64) -> Option<Freshness> {
-        let i = self.locate(id)?;
-        let sh = &mut self.shards[i];
+        let sh = self.locate_mut(id)?;
         let f = sh.store_mut().scale_freshness(id, factor)?;
         sh.note_freshness(f.get());
         Some(f)
     }
 
     fn infect(&mut self, id: TupleId, now: Tick) -> bool {
-        match self.locate(id) {
-            Some(i) => {
-                let sh = &mut self.shards[i];
+        match self.locate_mut(id) {
+            Some(sh) => {
                 let hit = sh.store_mut().infect(id, now);
                 if hit {
                     sh.mark_dirty();
@@ -1225,8 +1240,8 @@ impl DecaySurface for ShardedExtent {
     }
 
     fn cure(&mut self, id: TupleId) -> bool {
-        match self.locate(id) {
-            Some(i) => self.shards[i].store_mut().cure(id),
+        match self.locate_mut(id) {
+            Some(sh) => sh.store_mut().cure(id),
             None => false,
         }
     }
@@ -1305,13 +1320,12 @@ impl ReadExtent for ShardedExtent {
 
 impl QueryExtent for ShardedExtent {
     fn delete(&mut self, id: TupleId, reason: TombstoneReason) -> Option<Tuple> {
-        let i = self.locate(id)?;
-        self.shards[i].store_mut().delete(id, reason)
+        self.locate_mut(id)?.store_mut().delete(id, reason)
     }
 
     fn touch(&mut self, id: TupleId, now: Tick) {
-        if let Some(i) = self.locate(id) {
-            self.shards[i].store_mut().touch(id, now);
+        if let Some(sh) = self.locate_mut(id) {
+            sh.store_mut().touch(id, now);
         }
     }
 

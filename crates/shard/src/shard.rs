@@ -31,10 +31,10 @@ pub struct Shard {
     freshness_hi: f64,
     min_tick: u64,
     max_tick: u64,
-    /// Copy-on-write cache for MVCC snapshot publication: a sealed copy of
-    /// `store` as of the last publish, invalidated by any mutable store
-    /// access. A clean shard re-publishes the same `Arc` for free; only
-    /// shards written since the last epoch pay the clone.
+    /// The sealed twin of `store` as of the last publish, dropped by any
+    /// mutable store access. A clean shard re-publishes the same `Arc`; a
+    /// written one seals a new twin, which is a [`TableStore`] clone —
+    /// one reference count per segment and index, see below.
     snap_cache: Option<Arc<TableStore>>,
 }
 
@@ -67,16 +67,26 @@ impl Shard {
         &self.store
     }
 
-    /// Mutable access to the backing store. Invalidates the snapshot
-    /// cache: the next publish will clone the mutated store.
+    /// Mutable access to the backing store. Drops the cached twin: the next
+    /// publish seals the store again.
     pub fn store_mut(&mut self) -> &mut TableStore {
         self.snap_cache = None;
         &mut self.store
     }
 
-    /// The shard's sealed snapshot store for MVCC publication: a clone of
-    /// the backing store as of now, cached until the next mutable access
-    /// so consecutive publishes of a clean shard share one copy.
+    /// The shard's sealed store for MVCC publication, cached until the next
+    /// mutable access so consecutive publishes of a clean shard hand out
+    /// one `Arc`.
+    ///
+    /// Sealing shares; writing copies. The twin holds the same
+    /// `Arc<Segment>`s and index `Arc`s as the live store, so what a
+    /// version costs is paid by the writes that follow it, each once per
+    /// epoch: an insert copies the tail segment (one slot array — row
+    /// values are `Arc<[Value]>` and stay shared) and each index of this
+    /// shard; a touch, decay or infect copies the segment holding the
+    /// tuple; a delete copies that segment and the shard's indexes.
+    /// Everything else the old version held is the new version's too, and
+    /// a copied segment's predecessor is freed when its last reader unpins.
     pub fn snapshot_store(&mut self) -> Arc<TableStore> {
         self.snap_cache
             .get_or_insert_with(|| Arc::new(self.store.clone()))

@@ -7,6 +7,16 @@
 //! readers holding a snapshot never contend with decay ticks or consumers
 //! mutating the live extent.
 //!
+//! What two consecutive snapshots share, by level: a shard nothing wrote
+//! between them is the same `Arc<TableStore>`; a written shard is a new
+//! `TableStore` whose segments and indexes are the same `Arc`s except the
+//! ones a write touched (see [`Shard::snapshot_store`]); a copied segment
+//! still shares every row's `Arc<[Value]>`. The schema is one shared
+//! allocation throughout. A snapshot therefore pins exactly the segments
+//! the live extent has since replaced, not a second copy of the extent.
+//!
+//! [`Shard::snapshot_store`]: crate::Shard::snapshot_store
+//!
 //! Determinism carries over unchanged: the snapshot's shards are visited
 //! in id order and each scan is the same [`scan_store`] the live extent
 //! runs, so a snapshot scan returns exactly the ids a locked scan of the
@@ -27,8 +37,8 @@ use fungus_types::{Result, Schema, Tick, Tuple, TupleId};
 /// One shard's sealed state inside an [`ExtentSnapshot`].
 #[derive(Debug, Clone)]
 pub struct SnapshotShard {
-    /// The shard's store as of publish time (shared with the shard's
-    /// copy-on-write cache until the live shard is next written).
+    /// The shard's store as of publish time (the same `Arc` the live shard
+    /// caches until it is next written).
     pub store: Arc<TableStore>,
     /// First id of the shard's range.
     pub base: u64,
@@ -41,7 +51,7 @@ pub struct SnapshotShard {
 /// A sealed, immutable view of a container extent at one epoch.
 ///
 /// Cheap to clone (per-shard `Arc`s); dropping the last clone releases the
-/// underlying stores unless the live shards' caches still hold them.
+/// stores, and with them every segment the live extent no longer shares.
 #[derive(Debug, Clone)]
 pub struct ExtentSnapshot {
     schema: Schema,
@@ -72,6 +82,11 @@ impl ExtentSnapshot {
     /// Number of shards captured at publish time.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The sealed shards in id order.
+    pub fn shards(&self) -> &[SnapshotShard] {
+        &self.shards
     }
 
     /// The snapshot shard covering `id`, if any.

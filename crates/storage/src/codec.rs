@@ -205,7 +205,7 @@ pub(crate) fn put_tuple(buf: &mut BytesMut, tuple: &Tuple) {
     put_u64(buf, m.last_access.map_or(u64::MAX, Tick::get));
     put_u32(buf, m.access_count);
     put_u32(buf, tuple.values.len() as u32);
-    for v in &tuple.values {
+    for v in tuple.values.iter() {
         put_value(buf, v);
     }
 }
@@ -241,7 +241,10 @@ pub(crate) fn get_tuple(buf: &mut Bytes) -> Result<Tuple> {
         last_access,
         access_count,
     };
-    Ok(Tuple { meta, values })
+    Ok(Tuple {
+        meta,
+        values: values.into(),
+    })
 }
 
 #[cfg(test)]

@@ -21,6 +21,16 @@
 //!
 //! Both layouts preserve tuple ids exactly; converting between them is
 //! invisible to every other crate.
+//!
+//! ## Sharing
+//!
+//! A segment is the unit of copy-on-write: the table holds each one behind
+//! an `Arc`, a cloned table shares them all, and a writer copies the one
+//! segment it is about to change. That copy is one slot array — every
+//! tuple's attribute values are themselves shared (`Arc<[Value]>`), so it
+//! allocates once, not once per row — and at the original's capacity, so
+//! the copies of a filling tail segment are all one size and the append
+//! that follows each of them never regrows it.
 
 use serde::{Deserialize, Serialize};
 
@@ -82,7 +92,7 @@ pub struct HoleRun {
     pub reason: TombstoneReason,
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 enum Repr {
     Dense(Vec<Slot>),
     Sparse {
@@ -91,6 +101,27 @@ enum Repr {
         /// RLE tombstone holes sorted by offset.
         holes: Vec<HoleRun>,
     },
+}
+
+impl Clone for Repr {
+    /// A dense copy keeps the original's spare capacity. The copy a writer
+    /// takes of a shared tail segment is appended to at once; cut to
+    /// length it would be allocated, grown and freed at a new size on
+    /// every insert, where this way consecutive copies are the same size
+    /// and the allocator hands the last one's memory to the next.
+    fn clone(&self) -> Self {
+        match self {
+            Repr::Dense(slots) => {
+                let mut copy = Vec::with_capacity(slots.capacity());
+                copy.extend_from_slice(slots);
+                Repr::Dense(copy)
+            }
+            Repr::Sparse { live, holes } => Repr::Sparse {
+                live: live.clone(),
+                holes: holes.clone(),
+            },
+        }
+    }
 }
 
 /// A contiguous run of slots covering tuple ids `[base, base + len)`.
@@ -293,15 +324,6 @@ impl Segment {
         }
     }
 
-    /// Iterates live tuples mutably in id order (used by whole-table decay
-    /// passes such as uniform exponential fungi).
-    pub fn iter_live_mut(&mut self) -> Box<dyn Iterator<Item = &mut Tuple> + '_> {
-        match &mut self.repr {
-            Repr::Dense(slots) => Box::new(slots.iter_mut().filter_map(Slot::live_mut)),
-            Repr::Sparse { live, .. } => Box::new(live.iter_mut().map(|(_, t)| t)),
-        }
-    }
-
     /// Visits every allocated slot in id order as
     /// `(id, live tuple or tombstone reason)`. Used by the spot census.
     pub fn for_each_slot(&self, mut f: impl FnMut(TupleId, Result<&Tuple, TombstoneReason>)) {
@@ -485,6 +507,25 @@ mod tests {
         assert!(!s.covers(TupleId(9)));
         assert_eq!(s.get(TupleId(12)).unwrap().values[0], Value::Int(20));
         assert!(s.get(TupleId(14)).is_none());
+    }
+
+    #[test]
+    fn a_copy_of_an_open_segment_keeps_room_for_the_next_append() {
+        let mut s = Segment::new(TupleId(0), 64, 1);
+        for i in 0..5 {
+            s.push(tuple(i, i as i64));
+        }
+        let room = |s: &Segment| match &s.repr {
+            Repr::Dense(slots) => slots.capacity(),
+            Repr::Sparse { .. } => unreachable!("never compacted"),
+        };
+        assert!(room(&s) > 5, "amortised growth left spare slots");
+        let mut copy = s.clone();
+        assert_eq!(copy, s);
+        let copied_room = room(&copy);
+        assert!(copied_room >= room(&s));
+        copy.push(tuple(5, 5));
+        assert_eq!(room(&copy), copied_room, "the append did not reallocate");
     }
 
     #[test]

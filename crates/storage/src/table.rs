@@ -1,6 +1,7 @@
 //! The table store: an ordered sequence of segments.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use fungus_types::{FungusError, Result, Schema, Tick, Tuple, TupleId, Value};
 
@@ -34,19 +35,32 @@ pub struct CompactionReport {
 /// assert_eq!(table.live_count(), 1);
 /// assert_eq!(table.get(id).unwrap().values[0], Value::Int(42));
 /// ```
+///
+/// ## Copy-on-write
+///
+/// `Clone` is how a version is sealed, and it copies nothing a later write
+/// could not afford to copy again: the schema, every segment and every
+/// index sit behind `Arc`s, so a clone is one reference count each. The
+/// two copies then diverge by what is written — a writer un-shares
+/// (`Arc::make_mut`) exactly the segment or index it changes, and leaves a
+/// unique one in place at the cost of one uncontended atomic.
 #[derive(Debug, Clone)]
 pub struct TableStore {
     schema: Schema,
     config: StorageConfig,
-    segments: Vec<Segment>,
+    segments: Vec<Arc<Segment>>,
+    /// The segment a write last resolved an id to. Fungi, eviction sweeps
+    /// and deferred touches feed ids in ascending order, so the next id is
+    /// almost always in the same segment; a stale cursor costs one search.
+    write_cursor: usize,
     /// First id this store may allocate (0 for a standalone table; a
     /// shard's global range start when the store backs a shard).
     base: u64,
     next_id: u64,
     total_inserted: u64,
     infected: BTreeSet<TupleId>,
-    indexes: Vec<HashIndex>,
-    ord_indexes: Vec<OrdIndex>,
+    indexes: Vec<Arc<HashIndex>>,
+    ord_indexes: Vec<Arc<OrdIndex>>,
     evicted_rotted: u64,
     evicted_consumed: u64,
     evicted_deleted: u64,
@@ -63,6 +77,7 @@ impl TableStore {
             schema,
             config,
             segments: Vec::new(),
+            write_cursor: 0,
             base: 0,
             next_id: 0,
             total_inserted: 0,
@@ -155,10 +170,12 @@ impl TableStore {
         self.next_id += 1;
         self.total_inserted += 1;
         for idx in &mut self.indexes {
-            idx.insert(tuple.meta.id, &tuple.values[idx.column()]);
+            let col = idx.column();
+            Arc::make_mut(idx).insert(tuple.meta.id, &tuple.values[col]);
         }
         for idx in &mut self.ord_indexes {
-            idx.insert(tuple.meta.id, &tuple.values[idx.column()]);
+            let col = idx.column();
+            Arc::make_mut(idx).insert(tuple.meta.id, &tuple.values[col]);
         }
         let arity = self.zone_arity();
         self.tail_segment(arity).push(tuple);
@@ -182,10 +199,13 @@ impl TableStore {
         };
         if needs_new {
             let base = TupleId(self.next_id - 1);
-            self.segments
-                .push(Segment::new(base, self.config.segment_capacity, arity));
+            self.segments.push(Arc::new(Segment::new(
+                base,
+                self.config.segment_capacity,
+                arity,
+            )));
         }
-        self.segments.last_mut().expect("tail exists")
+        Arc::make_mut(self.segments.last_mut().expect("tail exists"))
     }
 
     /// Binary-searches the segment covering `id`.
@@ -200,23 +220,38 @@ impl TableStore {
         self.segments[idx].get(id)
     }
 
+    /// The segment holding `id` live, un-shared for writing. The cursor is
+    /// re-checked before searching, and a dead or unknown id returns before
+    /// anything is copied.
+    fn segment_mut(&mut self, id: TupleId) -> Option<&mut Segment> {
+        let hit = self.segments.get(self.write_cursor);
+        if !hit.is_some_and(|s| s.covers(id)) {
+            self.write_cursor = self.segment_index(id)?;
+        }
+        let seg = &mut self.segments[self.write_cursor];
+        seg.get(id)?;
+        Some(Arc::make_mut(seg))
+    }
+
     /// Mutable access to the live tuple with `id` (metadata mutation only).
+    /// Copies the tuple's segment first if a clone of this store still
+    /// shares it.
     pub fn get_mut(&mut self, id: TupleId) -> Option<&mut Tuple> {
-        let idx = self.segment_index(id)?;
-        self.segments[idx].get_mut(id)
+        self.segment_mut(id)?.get_mut(id)
     }
 
     /// Tombstones `id`, returning the removed tuple and maintaining the
     /// infected index and eviction accounting.
     pub fn delete(&mut self, id: TupleId, reason: TombstoneReason) -> Option<Tuple> {
-        let idx = self.segment_index(id)?;
-        let tuple = self.segments[idx].remove(id, reason)?;
+        let tuple = self.segment_mut(id)?.remove(id, reason)?;
         self.infected.remove(&id);
         for index in &mut self.indexes {
-            index.remove(id, &tuple.values[index.column()]);
+            let col = index.column();
+            Arc::make_mut(index).remove(id, &tuple.values[col]);
         }
         for index in &mut self.ord_indexes {
-            index.remove(id, &tuple.values[index.column()]);
+            let col = index.column();
+            Arc::make_mut(index).remove(id, &tuple.values[col]);
         }
         match reason {
             TombstoneReason::Rotted => {
@@ -240,7 +275,7 @@ impl TableStore {
 
     /// Number of live tuples.
     pub fn live_count(&self) -> usize {
-        self.segments.iter().map(Segment::live_count).sum()
+        self.segments.iter().map(|s| s.live_count()).sum()
     }
 
     /// Total tuples ever inserted (live + evicted).
@@ -257,7 +292,7 @@ impl TableStore {
 
     /// Approximate live-data heap footprint in bytes.
     pub fn approx_bytes(&self) -> usize {
-        self.segments.iter().map(Segment::approx_bytes).sum()
+        self.segments.iter().map(|s| s.approx_bytes()).sum()
     }
 
     /// Tuples evicted by rot (first law).
@@ -285,20 +320,16 @@ impl TableStore {
     }
 
     /// The segments in id order (query planning iterates these and prunes
-    /// via [`Segment::zone`]).
+    /// via [`Segment::zone`]). Two stores hold the same `Arc` for a segment
+    /// neither has written since one was cloned from the other.
     #[inline]
-    pub fn segments(&self) -> &[Segment] {
+    pub fn segments(&self) -> &[Arc<Segment>] {
         &self.segments
     }
 
     /// Iterates all live tuples in insertion order.
     pub fn iter_live(&self) -> impl Iterator<Item = &Tuple> {
         self.segments.iter().flat_map(|s| s.iter_live())
-    }
-
-    /// Iterates all live tuples mutably in insertion order.
-    pub fn iter_live_mut(&mut self) -> impl Iterator<Item = &mut Tuple> {
-        self.segments.iter_mut().flat_map(|s| s.iter_live_mut())
     }
 
     /// The nearest live neighbours of `id` along the time axis:
@@ -424,7 +455,7 @@ impl TableStore {
         for t in self.iter_live() {
             index.insert(t.meta.id, &t.values[col]);
         }
-        self.indexes.push(index);
+        self.indexes.push(Arc::new(index));
         Ok(())
     }
 
@@ -440,7 +471,7 @@ impl TableStore {
 
     /// The column indices that currently carry a hash index.
     pub fn indexed_columns(&self) -> Vec<usize> {
-        self.indexes.iter().map(HashIndex::column).collect()
+        self.indexes.iter().map(|i| i.column()).collect()
     }
 
     /// Index probe: live tuple ids whose column `col` equals any of
@@ -479,13 +510,13 @@ impl TableStore {
         for t in self.iter_live() {
             index.insert(t.meta.id, &t.values[col]);
         }
-        self.ord_indexes.push(index);
+        self.ord_indexes.push(Arc::new(index));
         Ok(())
     }
 
     /// The columns carrying ordered indexes.
     pub fn ord_indexed_columns(&self) -> Vec<usize> {
-        self.ord_indexes.iter().map(OrdIndex::column).collect()
+        self.ord_indexes.iter().map(|i| i.column()).collect()
     }
 
     /// Ordered-index range probe on column `col`; `None` when the column
@@ -539,7 +570,8 @@ impl TableStore {
 
     /// One maintenance pass: drops fully dead sealed segments and converts
     /// sparse-eligible sealed dense segments (live fraction below the
-    /// configured threshold) to the compact layout.
+    /// configured threshold) to the compact layout. A segment the pass
+    /// leaves alone stays shared with whatever clone holds it.
     pub fn compact(&mut self) -> CompactionReport {
         let arity = self.zone_arity();
         let threshold = self.config.compact_live_threshold;
@@ -558,7 +590,7 @@ impl TableStore {
                 report.segments_compacted += 1;
                 report.bytes_reclaimed +=
                     seg.tombstone_count() * std::mem::size_of::<crate::segment::Slot>();
-                seg.compact(arity);
+                Arc::make_mut(&mut seg).compact(arity);
             }
             kept.push(seg);
         }
@@ -575,12 +607,19 @@ impl TableStore {
     ///
     /// This is the whole-shard drop path: no per-tuple tombstoning, index
     /// maintenance, or hole bookkeeping happens — the caller records one
-    /// id-range gap for the entire store instead.
+    /// id-range gap for the entire store instead. A segment this store is
+    /// the last owner of is taken apart by value; one a pinned reader
+    /// still holds gives up copies of its live rows (a reference count
+    /// each) and the reader keeps the original.
     pub fn into_live_tuples(self) -> Vec<Tuple> {
-        self.segments
-            .into_iter()
-            .flat_map(Segment::into_live)
-            .collect()
+        let mut out = Vec::with_capacity(self.live_count());
+        for seg in self.segments {
+            match Arc::try_unwrap(seg) {
+                Ok(owned) => out.extend(owned.into_live()),
+                Err(shared) => out.extend(shared.iter_live().cloned()),
+            }
+        }
+        out
     }
 
     /// Overwrites the eviction counters with exact recorded values
@@ -887,6 +926,137 @@ mod tests {
         t.delete(TupleId(0), TombstoneReason::Rotted);
         t.compact();
         assert_eq!(t.live_count(), 11);
+    }
+
+    /// Which segments of `b` are the very allocation `a` holds.
+    fn shared_segments(a: &TableStore, b: &TableStore) -> Vec<bool> {
+        a.segments
+            .iter()
+            .zip(&b.segments)
+            .map(|(x, y)| Arc::ptr_eq(x, y))
+            .collect()
+    }
+
+    fn indexed_table(rows: u64) -> TableStore {
+        let mut t = small_table();
+        t.create_index("v").unwrap();
+        t.create_ord_index("v").unwrap();
+        fill(&mut t, rows);
+        t
+    }
+
+    #[test]
+    fn a_clone_shares_everything_and_a_write_unshares_only_what_it_wrote() {
+        let mut t = indexed_table(30); // capacity 8: 3 sealed segments + a tail of 6
+        let sealed = t.clone();
+        assert_eq!(shared_segments(&sealed, &t), vec![true; 4]);
+        assert!(Arc::ptr_eq(&sealed.indexes[0], &t.indexes[0]));
+        assert!(Arc::ptr_eq(&sealed.ord_indexes[0], &t.ord_indexes[0]));
+
+        // One single-row insert: the tail segment and the indexes.
+        t.insert(vec![Value::Int(30)], Tick(30)).unwrap();
+        let after_insert = t.clone();
+        assert_eq!(
+            shared_segments(&sealed, &after_insert),
+            vec![true, true, true, false]
+        );
+        assert!(!Arc::ptr_eq(&sealed.indexes[0], &after_insert.indexes[0]));
+        assert!(!Arc::ptr_eq(
+            &sealed.ord_indexes[0],
+            &after_insert.ord_indexes[0]
+        ));
+        assert_eq!(sealed.live_count(), 30, "the sealed clone saw no insert");
+        assert_eq!(sealed.index_probe(0, &[Value::Int(30)]), Some(vec![]));
+
+        // One touch: the touched segment, and no index.
+        t.touch(TupleId(9), Tick(31));
+        let after_touch = t.clone();
+        assert_eq!(
+            shared_segments(&after_insert, &after_touch),
+            vec![true, false, true, true]
+        );
+        assert!(Arc::ptr_eq(
+            &after_insert.indexes[0],
+            &after_touch.indexes[0]
+        ));
+        assert_eq!(after_insert.get(TupleId(9)).unwrap().meta.access_count, 0);
+        assert_eq!(after_touch.get(TupleId(9)).unwrap().meta.access_count, 1);
+        // The copied segment still shares every row's values.
+        assert!(Arc::ptr_eq(
+            &after_insert.get(TupleId(9)).unwrap().values,
+            &after_touch.get(TupleId(9)).unwrap().values
+        ));
+
+        // A write that misses copies nothing.
+        t.delete(TupleId(9), TombstoneReason::Deleted);
+        let before_miss = t.clone();
+        assert!(t.decay(TupleId(9), 0.5).is_none());
+        t.touch(TupleId(999), Tick(32));
+        assert_eq!(shared_segments(&before_miss, &t), vec![true; 4]);
+    }
+
+    #[test]
+    fn a_segment_is_copied_once_per_clone_not_once_per_write() {
+        let mut t = indexed_table(32);
+        let sealed = t.clone();
+        for id in 0..32 {
+            t.decay(TupleId(id), 0.1).unwrap();
+        }
+        let first_copies: Vec<_> = t.segments.iter().map(Arc::as_ptr).collect();
+        assert_eq!(shared_segments(&sealed, &t), vec![false; 4]);
+        // Unique now: a second sweep (descending, so the cursor misses on
+        // every segment boundary) writes in place.
+        for id in (0..32).rev() {
+            t.decay(TupleId(id), 0.1).unwrap();
+        }
+        let second: Vec<_> = t.segments.iter().map(Arc::as_ptr).collect();
+        assert_eq!(first_copies, second);
+        assert!(sealed.iter_live().all(|x| x.meta.freshness.get() == 1.0));
+        assert!(t
+            .iter_live()
+            .all(|x| (x.meta.freshness.get() - 0.8).abs() < 1e-12));
+    }
+
+    #[test]
+    fn compaction_leaves_untouched_segments_shared() {
+        let mut t = indexed_table(28); // 3 sealed segments + a tail of 4
+        for id in 8..15 {
+            t.delete(TupleId(id), TombstoneReason::Consumed);
+        }
+        let sealed = t.clone();
+        let report = t.compact();
+        assert_eq!((report.segments_dropped, report.segments_compacted), (0, 1));
+        assert_eq!(shared_segments(&sealed, &t), vec![true, false, true, true]);
+        assert!(t.segments[1].is_sparse());
+        assert!(!sealed.segments[1].is_sparse(), "the clone kept its layout");
+        assert_eq!(sealed.get(TupleId(15)), t.get(TupleId(15)));
+    }
+
+    #[test]
+    fn whole_store_drop_moves_owned_segments_and_copies_pinned_ones() {
+        let expected: Vec<Tuple> = indexed_table(20).iter_live().cloned().collect();
+
+        // Last owner of every segment: each is taken apart by value.
+        let sole = indexed_table(20);
+        let watch: Vec<_> = sole.segments.iter().map(Arc::downgrade).collect();
+        assert_eq!(sole.into_live_tuples(), expected);
+        assert!(watch.iter().all(|w| w.upgrade().is_none()));
+
+        // A pinned reader holds segments 0 and 2; segment 1 was written
+        // since the pin and is this store's alone.
+        let mut t = indexed_table(20);
+        let pinned = t.clone();
+        t.touch(TupleId(8), Tick(9));
+        // (Undo the touch so the content still equals `expected`.)
+        t.get_mut(TupleId(8)).unwrap().meta = pinned.get(TupleId(8)).unwrap().meta;
+        let own = Arc::downgrade(&t.segments[1]);
+        assert_eq!(t.into_live_tuples(), expected);
+        assert!(own.upgrade().is_none(), "the unshared segment was moved");
+        assert_eq!(
+            pinned.iter_live().cloned().collect::<Vec<_>>(),
+            expected,
+            "the reader keeps every segment it pinned"
+        );
     }
 
     #[test]

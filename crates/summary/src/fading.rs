@@ -51,7 +51,7 @@ use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
 use fungus_types::{FungusError, Result, Value};
 
-use crate::hash::hash_value;
+use crate::hash::{hash_value, StableState};
 
 /// A fading counter: decayed weight `count` as of tick `stamp`, with the
 /// SpaceSaving overestimation mass `error` fading on the same clock.
@@ -89,7 +89,7 @@ pub struct FadingSketch {
     seed: u64,
     counts: Vec<f64>,
     stamps: Vec<u64>,
-    entries: HashMap<Value, FadingCounter>,
+    entries: HashMap<Value, FadingCounter, StableState>,
     /// Raw (undecayed) observation count.
     total: u64,
     /// Total decayed stream weight as of `weight_stamp`.
@@ -217,7 +217,7 @@ impl FadingSketch {
             seed,
             counts: vec![0.0; width * depth],
             stamps: vec![0; width * depth],
-            entries: HashMap::with_capacity(capacity),
+            entries: HashMap::with_capacity_and_hasher(capacity, StableState::default()),
             total: 0,
             weight: 0.0,
             weight_stamp: 0,
@@ -413,7 +413,7 @@ impl FadingSketch {
                 decayed(c.error, c.stamp, m, lambda),
             )
         };
-        let min_of = |entries: &HashMap<Value, FadingCounter>, cap: usize| -> f64 {
+        let min_of = |entries: &HashMap<Value, FadingCounter, StableState>, cap: usize| -> f64 {
             if entries.len() < cap {
                 0.0
             } else {

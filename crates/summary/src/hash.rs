@@ -6,6 +6,8 @@
 //! finalised with the splitmix64 avalanche and salted by a seed, giving a
 //! cheap approximation of an independent family indexed by seed.
 
+use std::hash::{BuildHasherDefault, Hasher};
+
 use fungus_types::Value;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -57,9 +59,51 @@ pub fn hash_value(value: &Value, seed: u64) -> u64 {
     avalanche(h)
 }
 
+/// The keyless [`BuildHasher`](std::hash::BuildHasher) of a sketch's own
+/// key table: FNV-1a over the bytes `Hash` feeds it, avalanche-finalised.
+/// `RandomState` draws a key per process, and with it the table's probe
+/// order, its tombstone history, when it regrows and so what a copy of it
+/// costs; a table hashed here is the same table on every run. Nothing is
+/// lost to a chosen-key flood: the tables are capped at the sketch's
+/// capacity.
+pub type StableState = BuildHasherDefault<StableHasher>;
+
+/// The hasher [`StableState`] builds.
+#[derive(Debug, Clone, Copy)]
+pub struct StableHasher(u64);
+
+impl Default for StableHasher {
+    fn default() -> Self {
+        StableHasher(FNV_OFFSET)
+    }
+}
+
+impl Hasher for StableHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a(bytes, self.0);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        avalanche(self.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_key_table_hashes_the_same_in_every_process() {
+        use std::hash::BuildHasher;
+        let h = |v: &Value| StableState::default().hash_one(v);
+        assert_eq!(h(&Value::Int(7)), h(&Value::Int(7)));
+        assert_ne!(h(&Value::Int(7)), h(&Value::Int(8)));
+        // Pinned: no per-process key goes in, so this is the value on
+        // every run (`RandomState` would give a new one each time).
+        assert_eq!(h(&Value::from("hello")), 17_980_513_979_230_428_978);
+    }
 
     #[test]
     fn stable_and_seed_sensitive() {

@@ -993,6 +993,23 @@ mod tests {
     }
 
     #[test]
+    fn shared_slices_roundtrip_as_plain_sequences() {
+        use crate::{Tick, Tuple, TupleId, Value};
+        use std::sync::Arc;
+        let shared: Arc<[i64]> = vec![3, -1, 4].into();
+        assert_eq!(to_string(&shared).unwrap(), "[3,-1,4]");
+        roundtrip(&shared);
+        roundtrip(&Arc::<[String]>::from(Vec::new()));
+        // The two `Arc<[T]>` fields the engine has: a tuple's attribute
+        // values and a schema's columns (covered above).
+        roundtrip(&Tuple::new(
+            TupleId(7),
+            Tick(3),
+            vec![Value::Int(1), Value::from("a"), Value::Null],
+        ));
+    }
+
+    #[test]
     fn parse_errors_are_clean() {
         assert!(parse("").is_err());
         assert!(parse("{").is_err());

@@ -7,6 +7,7 @@
 //! pseudo-columns in `fungus-query`.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -58,9 +59,13 @@ impl ColumnDef {
 /// schema.check_row(&[Value::Int(4), Value::Float(21.5)]).unwrap();
 /// assert!(schema.check_row(&[Value::Int(4)]).is_err()); // wrong arity
 /// ```
+///
+/// A schema is immutable once built and its columns sit behind one `Arc`,
+/// so the copies every store, shard and sealed snapshot carries cost a
+/// reference count, not a `String` per column.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Schema {
-    columns: Vec<ColumnDef>,
+    columns: Arc<[ColumnDef]>,
 }
 
 impl Schema {
@@ -86,7 +91,9 @@ impl Schema {
                 )));
             }
         }
-        Ok(Schema { columns })
+        Ok(Schema {
+            columns: columns.into(),
+        })
     }
 
     /// Convenience constructor from `(name, type)` pairs; all columns

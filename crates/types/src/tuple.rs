@@ -5,6 +5,8 @@
 //! insertion tick `t`, freshness `f`, the fungus infection flag used by EGI,
 //! and bookkeeping the health monitor consumes (last access, access count).
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::freshness::Freshness;
@@ -89,12 +91,17 @@ impl TupleMeta {
 }
 
 /// One row of a container: metadata plus attribute values.
+///
+/// The engine mutates only `meta` in place; attribute values are written
+/// once, at insert, and shared from then on — a clone (into a sealed
+/// snapshot's segment copy, a query result, a route delivery) bumps one
+/// reference count instead of copying the row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Tuple {
     /// System columns.
     pub meta: TupleMeta,
     /// Attribute values `A1..An`, matching the container schema.
-    pub values: Vec<Value>,
+    pub values: Arc<[Value]>,
 }
 
 impl Tuple {
@@ -102,7 +109,7 @@ impl Tuple {
     pub fn new(id: TupleId, inserted_at: Tick, values: Vec<Value>) -> Self {
         Tuple {
             meta: TupleMeta::new(id, inserted_at),
-            values,
+            values: values.into(),
         }
     }
 

@@ -23,9 +23,13 @@
 //! in its sharpest form — the pinned read serializes at the pin point, no
 //! matter how far the live extent has rotted past it.
 
+use std::sync::{Arc, Weak};
+
 use proptest::prelude::*;
 
+use spacefungus::fungus_core::SnapshotHandle;
 use spacefungus::fungus_query::SelectStatement;
+use spacefungus::fungus_storage::Segment;
 use spacefungus::prelude::*;
 
 /// One step of the interleaved workload.
@@ -90,6 +94,14 @@ fn build(seed: u64, spec: ShardSpec) -> Database {
     let mut db = Database::new(seed);
     db.create_container("t", schema, policy).unwrap();
     db
+}
+
+/// Every segment of every shard of a pinned version.
+fn segments_of(pin: &SnapshotHandle) -> impl Iterator<Item = &Arc<Segment>> {
+    pin.extent()
+        .shards()
+        .iter()
+        .flat_map(|sh| sh.store.segments())
 }
 
 /// The full-extent probe used for pinned reads and the survivor check.
@@ -168,7 +180,7 @@ fn run_workload(ops: &[Op], seed: u64, how: Reads, spec: ShardSpec) -> Observed 
             Op::Consume(v) => {
                 let r = read(&db, how, &format!("SELECT * FROM t WHERE v >= {v} CONSUME"));
                 out.consumed
-                    .push(r.consumed.iter().map(|t| t.values.clone()).collect());
+                    .push(r.consumed.iter().map(|t| t.values.to_vec()).collect());
                 out.answers.push(r.rows);
             }
             Op::Pin => {
@@ -221,7 +233,9 @@ proptest! {
     /// Version reclamation under pinning: however many snapshots a
     /// history pins and drops, once every handle is gone the retired
     /// list drains to zero — retired == reclaimed at quiescence, across
-    /// one-, 4- and 16-shard layouts.
+    /// one-, 4- and 16-shard layouts. And reclaimed means freed: versions
+    /// share segments with their successors, so every segment a pinned
+    /// version held must by then be gone or be part of the head version.
     #[test]
     fn retired_versions_reclaim_at_quiescence(
         ops in proptest::collection::vec(arb_op(), 10..60),
@@ -236,6 +250,7 @@ proptest! {
         };
         let db = build(seed, spec);
         let mut pins = Vec::new();
+        let mut held = Vec::new();
         for op in &ops {
             match op {
                 Op::Insert(v) => {
@@ -254,7 +269,11 @@ proptest! {
                 Op::FreshCount => {
                     db.execute("SELECT COUNT(*) FROM t WHERE $freshness >= 0.5").unwrap();
                 }
-                Op::Pin => { pins.push(db.pin_snapshot("t").unwrap()); }
+                Op::Pin => {
+                    let pin = db.pin_snapshot("t").unwrap();
+                    held.extend(segments_of(&pin).map(Arc::downgrade));
+                    pins.push(pin);
+                }
                 Op::ReadPinned => { if !pins.is_empty() { pins.remove(0); } }
             }
         }
@@ -265,5 +284,61 @@ proptest! {
             t.retired, t.reclaimed,
             "retired versions leaked with every reader gone: {:?}", t
         );
+        let head = db.pin_snapshot("t").unwrap();
+        let in_head: Vec<_> = segments_of(&head).map(Arc::as_ptr).collect();
+        for seg in held.iter().filter_map(Weak::upgrade) {
+            prop_assert!(
+                in_head.contains(&Arc::as_ptr(&seg)),
+                "segment at {} outlived every version that held it", seg.base()
+            );
+        }
     }
+}
+
+/// The sharp case of the reclamation property: a decay tick writes every
+/// live row, so the version sealed after it shares no segment with the
+/// version sealed before it. A reader pinned across the tick keeps the old
+/// segments readable; when it lets go, all of them are freed — while a
+/// single-row insert leaves all but the tail segment shared.
+#[test]
+fn a_retired_version_frees_exactly_the_segments_its_successor_replaced() {
+    let schema = Schema::from_pairs(&[("v", DataType::Int)]).unwrap();
+    let policy = ContainerPolicy::new(FungusSpec::Linear { lifetime: 100 })
+        .with_storage(StorageConfig::for_tests())
+        .with_sharding(ShardSpec::new(32).with_workers(1));
+    let mut db = Database::new(5);
+    db.create_container("t", schema, policy).unwrap();
+    for v in 0..83 {
+        db.execute(&format!("INSERT INTO t VALUES ({v})")).unwrap();
+    }
+
+    let before = db.pin_snapshot("t").unwrap();
+    let old: Vec<Weak<Segment>> = segments_of(&before).map(Arc::downgrade).collect();
+    assert!(old.len() >= 10, "want many segments over several shards");
+
+    db.execute("INSERT INTO t VALUES (83)").unwrap();
+    let after_insert = db.pin_snapshot("t").unwrap();
+    let shared = segments_of(&before)
+        .zip(segments_of(&after_insert))
+        .filter(|(a, b)| Arc::ptr_eq(a, b))
+        .count();
+    assert_eq!(shared, old.len() - 1, "an insert replaces the tail segment");
+    drop(after_insert);
+
+    db.run_for(1);
+    assert!(
+        old.iter().all(|w| w.upgrade().is_some()),
+        "the pinned reader keeps every segment of its version"
+    );
+    assert_eq!(
+        before.select(&select_stmt(SURVIVORS)).unwrap().rows.len(),
+        83
+    );
+    drop(before);
+    let t = db.mvcc_telemetry_of("t").unwrap();
+    assert_eq!(t.retired, t.reclaimed);
+    assert!(
+        old.iter().all(|w| w.upgrade().is_none()),
+        "a reclaimed version's replaced segments are freed with it"
+    );
 }

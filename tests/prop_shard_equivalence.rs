@@ -86,7 +86,7 @@ fn run_workload(ops: &[Op], seed: u64, spec: ShardSpec) -> Observed {
                 let (_report, gone) = c.decay_tick_collect(now);
                 let mut set: Vec<(u64, u64, Vec<Value>)> = gone
                     .into_iter()
-                    .map(|t| (t.meta.id.get(), t.meta.inserted_at.get(), t.values))
+                    .map(|t| (t.meta.id.get(), t.meta.inserted_at.get(), t.values.to_vec()))
                     .collect();
                 // Eviction is a *set* contract; the whole-shard drop path
                 // may interleave differently with per-tuple deletes.

@@ -1,6 +1,7 @@
 //! Model-based property tests: the segmented [`TableStore`] against a
 //! naive `BTreeMap` reference model under random operation sequences,
-//! plus snapshot/WAL round-trip properties.
+//! plus snapshot/WAL round-trip properties and the copy-on-write contract
+//! (a clone is a sealed version no later write shows through).
 
 use std::collections::BTreeMap;
 
@@ -14,6 +15,7 @@ enum Op {
     Insert(i64),
     Delete(usize),
     Decay(usize, f64),
+    Scale(usize, f64),
     Infect(usize),
     Cure(usize),
     Touch(usize),
@@ -26,6 +28,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         4 => any::<i64>().prop_map(Op::Insert),
         2 => any::<usize>().prop_map(Op::Delete),
         3 => (any::<usize>(), 0.0f64..1.5).prop_map(|(i, a)| Op::Decay(i, a)),
+        1 => (any::<usize>(), 0.0f64..1.2).prop_map(|(i, k)| Op::Scale(i, k)),
         1 => any::<usize>().prop_map(Op::Infect),
         1 => any::<usize>().prop_map(Op::Cure),
         1 => any::<usize>().prop_map(Op::Touch),
@@ -85,6 +88,15 @@ proptest! {
                         let f = store.decay(TupleId(id), amount).unwrap();
                         let m = model.rows.get_mut(&id).unwrap();
                         m.1 = (m.1 - amount.max(0.0)).max(0.0);
+                        if m.1 < 1e-12 { m.1 = 0.0; }
+                        prop_assert!((f.get() - m.1).abs() < 1e-9);
+                    }
+                }
+                Op::Scale(i, factor) => {
+                    if let Some(id) = pick(&model, i) {
+                        let f = store.scale_freshness(TupleId(id), factor).unwrap();
+                        let m = model.rows.get_mut(&id).unwrap();
+                        m.1 *= factor.min(1.0);
                         if m.1 < 1e-12 { m.1 = 0.0; }
                         prop_assert!((f.get() - m.1).abs() < 1e-9);
                     }
@@ -191,6 +203,58 @@ proptest! {
         let _ = decode_table(bytes.slice(..cut)); // must not panic
     }
 
+    /// A clone is a sealed version. Whatever the original does afterwards
+    /// — through every write path, over dense and sparse segments, with
+    /// and without indexes and infections — the clone's bytes and index
+    /// answers stay what they were when it was taken, and the original
+    /// ends where a store that was never cloned ends.
+    #[test]
+    fn writes_to_the_original_never_show_through_a_clone(
+        before in proptest::collection::vec(arb_op(), 1..80),
+        after in proptest::collection::vec(arb_op(), 1..80),
+        indexed in any::<bool>(),
+    ) {
+        let fresh = || {
+            let mut s = small_store();
+            if indexed {
+                s.create_index("v").unwrap();
+                s.create_ord_index("v").unwrap();
+            }
+            (s, Model::default())
+        };
+        let (mut store, mut model) = fresh();
+        let (mut twin, mut twin_model) = fresh();
+        for op in before {
+            apply_unchecked(&mut twin, &mut twin_model, op.clone(), Tick(1));
+            apply_unchecked(&mut store, &mut model, op, Tick(1));
+        }
+
+        let sealed = store.clone();
+        let bytes = encode_table(&sealed);
+        let keys: Vec<Value> = model.rows.values().map(|r| Value::Int(r.0)).collect();
+        let probes: Vec<_> = keys
+            .iter()
+            .map(|k| sealed.index_probe(0, std::slice::from_ref(k)))
+            .collect();
+        let ordered = sealed.ord_range_probe(0, None, None);
+
+        for op in after {
+            apply_unchecked(&mut twin, &mut twin_model, op.clone(), Tick(2));
+            apply_unchecked(&mut store, &mut model, op, Tick(2));
+        }
+
+        prop_assert_eq!(encode_table(&sealed), bytes);
+        for (k, was) in keys.iter().zip(&probes) {
+            prop_assert_eq!(&sealed.index_probe(0, std::slice::from_ref(k)), was);
+        }
+        prop_assert_eq!(sealed.ord_range_probe(0, None, None), ordered);
+        prop_assert_eq!(encode_table(&store), encode_table(&twin));
+        prop_assert_eq!(
+            store.ord_range_probe(0, None, None),
+            twin.ord_range_probe(0, None, None)
+        );
+    }
+
     /// Live neighbours always skip tombstones and stay ordered around the
     /// probe id.
     #[test]
@@ -247,6 +311,11 @@ fn apply_unchecked(store: &mut TableStore, model: &mut Model, op: Op, now: Tick)
                 store.decay(TupleId(id), amount);
             }
         }
+        Op::Scale(i, factor) => {
+            if let Some(id) = pick(model, i) {
+                store.scale_freshness(TupleId(id), factor);
+            }
+        }
         Op::Infect(i) => {
             if let Some(id) = pick(model, i) {
                 store.infect(TupleId(id), now);
@@ -271,4 +340,52 @@ fn apply_unchecked(store: &mut TableStore, model: &mut Model, op: Op, now: Tick)
             store.compact();
         }
     }
+}
+
+/// Readers hold a sealed clone while the writer keeps writing the
+/// original: the segments and row values the two share are read from
+/// other threads and un-shared, never written, by the writer. The readers
+/// must see the same bytes every time, and the sanitizer job runs this to
+/// see that no plain access races.
+#[test]
+fn readers_of_a_sealed_clone_race_the_writer() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let mut store = small_store();
+    store.create_index("v").unwrap();
+    for v in 0..64 {
+        store.insert(vec![Value::Int(v % 7)], Tick(1)).unwrap();
+    }
+    let sealed = Arc::new(store.clone());
+    let bytes = encode_table(&sealed);
+    let done = AtomicBool::new(false);
+
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let mut passes = 0u32;
+                while passes == 0 || !done.load(Ordering::Acquire) {
+                    assert_eq!(encode_table(&sealed), bytes);
+                    assert_eq!(sealed.index_probe(0, &[Value::Int(3)]).unwrap().len(), 9);
+                    passes += 1;
+                }
+            });
+        }
+        // The version a publish would have sealed last: while it lives,
+        // every write below copies the segment it lands in.
+        let mut head = store.clone();
+        for round in 0..40u64 {
+            for id in 0..store.next_id().get() {
+                store.decay(TupleId(id), 0.01);
+                store.touch(TupleId(id), Tick(2 + round));
+            }
+            store.insert(vec![Value::Int(3)], Tick(2 + round)).unwrap();
+            store.delete(TupleId(round), TombstoneReason::Consumed);
+            store.compact();
+            drop(std::mem::replace(&mut head, store.clone()));
+        }
+        done.store(true, Ordering::Release);
+    });
+    assert_eq!(encode_table(&sealed), bytes);
 }
