@@ -6,11 +6,11 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use fungus_clock::DeterministicRng;
-use fungus_fungi::{EgiConfig, ExponentialFungus, Fungus, FungusSpec, RetentionFungus};
+use fungus_fungi::{EgiConfig, FungusSpec};
 use fungus_query::{execute, parse_statement, Planner, Statement};
 use fungus_storage::{StorageConfig, TableStore};
 use fungus_summary::SummarySpec;
-use fungus_types::{DataType, Schema, Tick, TickDelta, Value};
+use fungus_types::{DataType, Schema, Tick, Value};
 
 fn sensor_schema() -> Schema {
     Schema::from_pairs(&[
@@ -62,12 +62,21 @@ fn bench_decay_pass(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("exponential", size), &size, |b, &size| {
             let mut t = filled_table(size);
             // λ ≈ 0 so the extent stays constant during measurement.
-            let mut f = ExponentialFungus::with_threshold(1e-12, 1e-15);
+            let mut f = FungusSpec::Exponential {
+                lambda: 1e-12,
+                rot_threshold: 1e-15,
+            }
+            .build(&DeterministicRng::new(1))
+            .unwrap();
             b.iter(|| f.tick(&mut t, Tick(1)));
         });
         group.bench_with_input(BenchmarkId::new("retention", size), &size, |b, &size| {
             let mut t = filled_table(size);
-            let mut f = RetentionFungus::new(TickDelta(u64::MAX / 2));
+            let mut f = FungusSpec::Retention {
+                max_age: u64::MAX / 2,
+            }
+            .build(&DeterministicRng::new(1))
+            .unwrap();
             b.iter(|| f.tick(&mut t, Tick(1)));
         });
         group.bench_with_input(BenchmarkId::new("egi", size), &size, |b, &size| {

@@ -11,10 +11,7 @@
 //!   so that concurrently running fungi never perturb each other's draws;
 //! * [`TickScheduler`] — registers periodic tasks (fungi, distillation,
 //!   health probes) and fires them in priority order on each tick, either
-//!   stepped manually or driven by a background thread;
-//! * [`Simulation`] — a convenience driver that advances the clock a fixed
-//!   number of ticks and records a per-tick trace for the experiment
-//!   harness.
+//!   stepped manually or driven by a background thread.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -22,9 +19,7 @@
 pub mod clock;
 pub mod rng;
 pub mod scheduler;
-pub mod sim;
 
 pub use clock::VirtualClock;
 pub use rng::{DeterministicRng, WeightedIndexSampler};
 pub use scheduler::{Task, TaskHandle, TickScheduler};
-pub use sim::{Simulation, TickTrace};

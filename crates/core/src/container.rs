@@ -30,7 +30,7 @@ pub struct Container {
     name: String,
     extent: ShardedExtent,
     policy: ContainerPolicy,
-    fungus: Box<dyn Fungus>,
+    fungus: Fungus,
     distiller: Distiller,
     metrics: EngineMetrics,
     /// True when the live content may differ from the last published

@@ -755,7 +755,7 @@ impl Database {
             self.scheduler.clock().reset_to(tick);
         }
         for (name, policy_json) in containers {
-            let policy = parse_policy(&policy_json)?;
+            let policy = parse_policy(&name, &policy_json)?;
             match layouts.remove(&name) {
                 Some(layout_json) => {
                     let layout: fungus_shard::ShardLayoutManifest = serde_json_parse(&layout_json)?;
@@ -796,15 +796,25 @@ fn serde_json_parse<T: for<'de> serde::Deserialize<'de>>(s: &str) -> Result<T> {
     fungus_types::json::from_str(s)
 }
 
-/// Parses a checkpointed policy. Checkpoints written while the sharding
-/// spec was optional spell "no sharding clause" as `"sharding":null`;
-/// dropping the key lets it default to the one-shard spec.
-fn parse_policy(policy_json: &str) -> Result<ContainerPolicy> {
+/// Parses container `name`'s checkpointed policy. Checkpoints written
+/// while the sharding spec was optional spell "no sharding clause" as
+/// `"sharding":null`; dropping the key lets it default to the one-shard
+/// spec. A fungus variant the engine no longer has (the `Sequence` and
+/// `Periodic` combinators) is a corrupt checkpoint naming that variant,
+/// not a generic decode error.
+fn parse_policy(name: &str, policy_json: &str) -> Result<ContainerPolicy> {
     use fungus_types::json::Json;
     let mut tree = fungus_types::json::parse(policy_json)?;
     if let Json::Obj(fields) = &mut tree {
         if fields.get("sharding") == Some(&Json::Null) {
             fields.remove("sharding");
+        }
+        if let Some(Json::Obj(fungus)) = fields.get("fungus") {
+            if let Some(gone) = fungus.keys().find(|v| *v == "Sequence" || *v == "Periodic") {
+                return Err(FungusError::CorruptSnapshot(format!(
+                    "container `{name}` names the removed fungus `{gone}`"
+                )));
+            }
         }
     }
     serde::Deserialize::deserialize(tree)
@@ -1500,6 +1510,35 @@ mod tests {
         assert_eq!(out.result.scalar().unwrap(), &Value::Int(3));
         let after = restored.mvcc_telemetry_of("r").unwrap();
         assert_eq!(after.snapshot_reads, before.snapshot_reads + 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn restore_rejects_a_checkpoint_naming_a_removed_fungus() {
+        let policy_json = serde_json_lite(&ContainerPolicy::immortal()).unwrap();
+        let dir =
+            std::env::temp_dir().join(format!("fungus-removed-fungus-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (variant, json) in [
+            ("Sequence", r#"{"Sequence":["Null"]}"#),
+            ("Periodic", r#"{"Periodic":{"inner":"Null","period":3}}"#),
+        ] {
+            let old_json =
+                policy_json.replace(r#""fungus":"Null""#, &format!(r#""fungus":{json}"#));
+            assert_ne!(old_json, policy_json);
+            std::fs::write(
+                dir.join("MANIFEST"),
+                format!("clock\t4\ncontainer\tcombo\t{old_json}\n"),
+            )
+            .unwrap();
+            match Database::new(3).restore_checkpoint(&dir) {
+                Err(FungusError::CorruptSnapshot(msg)) => assert!(
+                    msg.contains(variant) && msg.contains("combo"),
+                    "the error must name the variant and the container, got: {msg}"
+                ),
+                other => panic!("{variant}: expected CorruptSnapshot, got {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

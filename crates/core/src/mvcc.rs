@@ -26,7 +26,8 @@
 //! that absorbs additionally the pipelines. What still scales with the
 //! extent is a tick of a fungus that writes every live row (and the
 //! deferred touches of reads that returned rows from every segment): it
-//! un-shares every segment once — ROADMAP item 1(a) removes those writes.
+//! un-shares every segment once — ROADMAP "Rot by arithmetic" (a) removes
+//! those writes.
 //!
 //! ## `CONSUME` isolation
 //!

@@ -38,8 +38,6 @@ use fungus_storage::DecaySurface;
 use fungus_types::{Tick, TupleId};
 use serde::{Deserialize, Serialize};
 
-use crate::fungus::Fungus;
-
 /// How seed victims are drawn (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum SeedBias {
@@ -101,7 +99,7 @@ impl Default for EgiConfig {
 ///
 /// ```
 /// use fungus_clock::DeterministicRng;
-/// use fungus_fungi::{EgiConfig, EgiFungus, Fungus};
+/// use fungus_fungi::{EgiConfig, EgiFungus};
 /// use fungus_storage::TableStore;
 /// use fungus_types::{DataType, Schema, Tick, Value};
 ///
@@ -212,19 +210,15 @@ impl EgiFungus {
             }
         }
     }
-}
 
-impl Fungus for EgiFungus {
-    fn name(&self) -> &str {
-        "egi"
-    }
-
-    fn tick(&mut self, surface: &mut dyn DecaySurface, now: Tick) {
+    /// One EGI cycle at `now`: seed, then spread.
+    pub fn tick(&mut self, surface: &mut dyn DecaySurface, now: Tick) {
         self.seed(surface, now);
         self.spread(surface, now);
     }
 
-    fn describe(&self) -> String {
+    /// Human-readable parameter summary.
+    pub fn describe(&self) -> String {
         format!(
             "egi(seeds={}, bias={:?}, rot_rate={}, spread={})",
             self.config.seeds_per_tick,

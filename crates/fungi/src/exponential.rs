@@ -1,9 +1,6 @@
 //! Exponential (geometric) decay.
 
-use fungus_storage::DecaySurface;
-use fungus_types::{Tick, TupleId};
-
-use crate::fungus::Fungus;
+use fungus_types::{Freshness, Tick, TupleMeta};
 
 /// Scales every tuple's freshness by `e^(-λ)` per tick; once freshness
 /// falls below `rot_threshold` the tuple is driven to zero (pure scaling
@@ -55,29 +52,20 @@ impl ExponentialFungus {
     pub fn half_life(&self) -> f64 {
         std::f64::consts::LN_2 / self.lambda
     }
-}
 
-impl Fungus for ExponentialFungus {
-    fn name(&self) -> &str {
-        "exponential"
+    /// One application to the row `meta`: scale, and rot outright below
+    /// the threshold.
+    pub fn step(&self, meta: &TupleMeta, _now: Tick) -> Option<Freshness> {
+        let f = meta.freshness.scaled(self.factor);
+        Some(if f.get() < self.rot_threshold {
+            f.decayed(1.0)
+        } else {
+            f
+        })
     }
 
-    fn tick(&mut self, surface: &mut dyn DecaySurface, _now: Tick) {
-        let ids: Vec<TupleId> = {
-            let mut v = Vec::with_capacity(surface.live_count());
-            surface.for_each_live_meta(&mut |id, _| v.push(id));
-            v
-        };
-        for id in ids {
-            if let Some(f) = surface.scale_freshness(id, self.factor) {
-                if f.get() < self.rot_threshold {
-                    surface.decay(id, 1.0);
-                }
-            }
-        }
-    }
-
-    fn describe(&self) -> String {
+    /// Human-readable parameter summary.
+    pub fn describe(&self) -> String {
         format!(
             "exponential(lambda={:.4}, half_life={:.1}, threshold={:.3})",
             self.lambda,
@@ -91,15 +79,20 @@ impl Fungus for ExponentialFungus {
 mod tests {
     use super::*;
     use crate::testutil::{freshness, table_with};
+    use fungus_storage::TableStore;
+
+    fn tick(f: &ExponentialFungus, table: &mut TableStore) {
+        table.rot_walk(&mut |m| f.step(m, Tick(0)));
+    }
 
     #[test]
     fn freshness_halves_at_half_life() {
         let mut table = table_with(1);
         let lambda = 0.1;
-        let mut f = ExponentialFungus::new(lambda);
+        let f = ExponentialFungus::new(lambda);
         let half_life = f.half_life().round() as u64; // ≈ 7
-        for t in 0..half_life {
-            f.tick(&mut table, Tick(t));
+        for _ in 0..half_life {
+            tick(&f, &mut table);
         }
         let fr = freshness(&table, 0);
         assert!((fr - 0.5).abs() < 0.05, "freshness {fr} should be ≈ 0.5");
@@ -108,10 +101,10 @@ mod tests {
     #[test]
     fn tuples_rot_below_threshold() {
         let mut table = table_with(5);
-        let mut f = ExponentialFungus::with_threshold(1.0, 0.05);
+        let f = ExponentialFungus::with_threshold(1.0, 0.05);
         // factor = e^-1 ≈ 0.368; after 3 ticks freshness ≈ 0.0498 < 0.05.
-        for t in 0..3u64 {
-            f.tick(&mut table, Tick(t));
+        for _ in 0..3 {
+            tick(&f, &mut table);
         }
         let evicted = table.evict_rotten();
         assert_eq!(evicted.len(), 5);
@@ -125,8 +118,7 @@ mod tests {
         let f = ExponentialFungus::new(f64::NAN);
         assert!(f.lambda() > 0.0);
         let mut table = table_with(2);
-        let mut fungus = ExponentialFungus::new(f64::NAN);
-        fungus.tick(&mut table, Tick(1));
+        tick(&ExponentialFungus::new(f64::NAN), &mut table);
         assert_eq!(table.live_count(), 2, "clamped fungus decays negligibly");
     }
 

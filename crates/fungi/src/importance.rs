@@ -7,10 +7,7 @@
 //! rice rotting in the fable's storehouse. This fungus decays each tuple at
 //! a rate inversely proportional to its access count and recency.
 
-use fungus_storage::DecaySurface;
-use fungus_types::{Tick, TupleId};
-
-use crate::fungus::Fungus;
+use fungus_types::{Freshness, Tick, TupleMeta};
 
 /// Access-aware decay.
 ///
@@ -64,27 +61,16 @@ impl ImportanceFungus {
         };
         self.base_rate * count_factor * recency_factor
     }
-}
 
-impl Fungus for ImportanceFungus {
-    fn name(&self) -> &str {
-        "importance"
+    /// One application to the row `meta` at `now`.
+    pub fn step(&self, meta: &TupleMeta, now: Tick) -> Option<Freshness> {
+        let gap = meta.last_access.map(|t| now.age_since(t).as_f64());
+        let amount = self.rate_for(meta.access_count, gap);
+        (amount > 0.0).then(|| meta.freshness.decayed(amount))
     }
 
-    fn tick(&mut self, surface: &mut dyn DecaySurface, now: Tick) {
-        let mut plan: Vec<(TupleId, f64)> = Vec::with_capacity(surface.live_count());
-        surface.for_each_live_meta(&mut |id, meta| {
-            let gap = meta.last_access.map(|t| now.age_since(t).as_f64());
-            plan.push((id, self.rate_for(meta.access_count, gap)));
-        });
-        for (id, amount) in plan {
-            if amount > 0.0 {
-                surface.decay(id, amount);
-            }
-        }
-    }
-
-    fn describe(&self) -> String {
+    /// Human-readable parameter summary.
+    pub fn describe(&self) -> String {
         format!(
             "importance(base_rate={}, recency_shield={})",
             self.base_rate, self.recency_shield
@@ -96,7 +82,12 @@ impl Fungus for ImportanceFungus {
 mod tests {
     use super::*;
     use crate::testutil::{freshness, table_with};
+    use fungus_storage::TableStore;
     use fungus_types::TupleId;
+
+    fn tick(f: &ImportanceFungus, table: &mut TableStore, now: u64) {
+        table.rot_walk(&mut |m| f.step(m, Tick(now)));
+    }
 
     #[test]
     fn unread_tuples_decay_fastest() {
@@ -104,8 +95,7 @@ mod tests {
         table.touch(TupleId(1), Tick(3)); // read once
         table.touch(TupleId(2), Tick(3));
         table.touch(TupleId(2), Tick(3)); // read twice
-        let mut f = ImportanceFungus::new(0.3);
-        f.tick(&mut table, Tick(4));
+        tick(&ImportanceFungus::new(0.3), &mut table, 4);
         let f0 = freshness(&table, 0);
         let f1 = freshness(&table, 1);
         let f2 = freshness(&table, 2);
@@ -121,8 +111,7 @@ mod tests {
         let mut table = table_with(2);
         table.touch(TupleId(0), Tick(2)); // old read
         table.touch(TupleId(1), Tick(99)); // recent read
-        let mut f = ImportanceFungus::new(0.4);
-        f.tick(&mut table, Tick(100));
+        tick(&ImportanceFungus::new(0.4), &mut table, 100);
         assert!(
             freshness(&table, 1) > freshness(&table, 0),
             "the recently-read tuple must be better shielded"
@@ -133,11 +122,11 @@ mod tests {
     fn hot_tuples_survive_cold_ones_rot() {
         let mut table = table_with(10);
         // Keep tuple 5 hot.
-        let mut f = ImportanceFungus::new(0.25);
+        let f = ImportanceFungus::new(0.25);
         let mut now = 10u64;
         while table.live_count() > 1 && now < 1000 {
             table.touch(TupleId(5), Tick(now));
-            f.tick(&mut table, Tick(now));
+            tick(&f, &mut table, now);
             table.evict_rotten();
             now += 1;
         }

@@ -12,10 +12,9 @@
 //! importance *modulates a rate* by access history; lease is a hard
 //! sliding TTL anchored at the last access.
 
-use fungus_storage::DecaySurface;
-use fungus_types::{Tick, TickDelta, TupleId};
+use fungus_types::{Freshness, Tick, TickDelta, TupleMeta};
 
-use crate::fungus::Fungus;
+use crate::retention::remaining_life;
 
 /// Sliding time-to-live anchored at each tuple's last access.
 #[derive(Debug, Clone, Copy)]
@@ -36,44 +35,19 @@ impl LeaseFungus {
     pub fn lease(&self) -> TickDelta {
         self.lease
     }
-}
 
-impl Fungus for LeaseFungus {
-    fn name(&self) -> &str {
-        "lease"
+    /// One application to the row `meta` at `now`. Freshness is the
+    /// remaining lease fraction, but only ever lowered: a read between
+    /// ticks raises the *target*, and the monotone-decay law wins over
+    /// lease renewal for the freshness *signal*, while the expiry decision
+    /// always honours the renewal.
+    pub fn step(&self, meta: &TupleMeta, now: Tick) -> Option<Freshness> {
+        let anchor = meta.last_access.unwrap_or(meta.inserted_at);
+        remaining_life(meta, now.age_since(anchor), self.lease)
     }
 
-    fn tick(&mut self, surface: &mut dyn DecaySurface, now: Tick) {
-        let lease = self.lease.as_f64();
-        let mut expired: Vec<TupleId> = Vec::new();
-        let mut updates: Vec<(TupleId, f64)> = Vec::new();
-        surface.for_each_live_meta(&mut |id, meta| {
-            let anchor = meta.last_access.unwrap_or(meta.inserted_at);
-            let idle = now.age_since(anchor).as_f64();
-            if idle >= lease {
-                expired.push(id);
-            } else {
-                // Freshness is the remaining lease fraction — but only ever
-                // lowered (a read between ticks raises the *target*, and the
-                // decay surface cannot raise freshness; the monotone-decay
-                // law wins over lease renewal for the freshness *signal*,
-                // while the expiry decision always honours the renewal).
-                let target = 1.0 - idle / lease;
-                let current = meta.freshness.get();
-                if target < current {
-                    updates.push((id, current - target));
-                }
-            }
-        });
-        for (id, amount) in updates {
-            surface.decay(id, amount);
-        }
-        for id in expired {
-            surface.decay(id, 1.0);
-        }
-    }
-
-    fn describe(&self) -> String {
+    /// Human-readable parameter summary.
+    pub fn describe(&self) -> String {
         format!("lease(ticks={})", self.lease)
     }
 }
@@ -82,13 +56,18 @@ impl Fungus for LeaseFungus {
 mod tests {
     use super::*;
     use crate::testutil::table_with;
+    use fungus_storage::TableStore;
     use fungus_types::TupleId;
+
+    fn tick(f: &LeaseFungus, table: &mut TableStore, now: u64) {
+        table.rot_walk(&mut |m| f.step(m, Tick(now)));
+    }
 
     #[test]
     fn unread_tuples_expire_after_the_lease() {
         let mut table = table_with(5); // inserted at ticks 0..5
-        let mut f = LeaseFungus::new(TickDelta(10));
-        f.tick(&mut table, Tick(11));
+        let f = LeaseFungus::new(TickDelta(10));
+        tick(&f, &mut table, 11);
         // Ids 0 and 1 (inserted at 0, 1) are idle ≥ 10 → expired.
         let evicted = table.evict_rotten();
         let ids: Vec<u64> = evicted.iter().map(|t| t.meta.id.get()).collect();
@@ -99,8 +78,8 @@ mod tests {
     fn reads_renew_the_lease() {
         let mut table = table_with(2); // inserted at ticks 0, 1
         table.touch(TupleId(0), Tick(9)); // renewed just in time
-        let mut f = LeaseFungus::new(TickDelta(10));
-        f.tick(&mut table, Tick(11));
+        let f = LeaseFungus::new(TickDelta(10));
+        tick(&f, &mut table, 11);
         let evicted = table.evict_rotten();
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].meta.id, TupleId(1), "the unread tuple dies");
@@ -110,10 +89,10 @@ mod tests {
     #[test]
     fn popular_data_is_effectively_immortal() {
         let mut table = table_with(1);
-        let mut f = LeaseFungus::new(TickDelta(5));
+        let f = LeaseFungus::new(TickDelta(5));
         for t in 1..200u64 {
             table.touch(TupleId(0), Tick(t)); // constant readership
-            f.tick(&mut table, Tick(t));
+            tick(&f, &mut table, t);
             assert!(table.evict_rotten().is_empty(), "tick {t}");
         }
         assert_eq!(table.live_count(), 1);
@@ -122,8 +101,8 @@ mod tests {
     #[test]
     fn freshness_tracks_remaining_lease() {
         let mut table = table_with(1); // inserted at tick 0
-        let mut f = LeaseFungus::new(TickDelta(10));
-        f.tick(&mut table, Tick(4));
+        let f = LeaseFungus::new(TickDelta(10));
+        tick(&f, &mut table, 4);
         let fr = table.get(TupleId(0)).unwrap().meta.freshness.get();
         assert!((fr - 0.6).abs() < 1e-12, "6 of 10 lease ticks remain: {fr}");
     }

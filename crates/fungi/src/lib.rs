@@ -8,32 +8,33 @@
 //! considered, based on their rate of decay, what to decay, how to decay".
 //! This crate is that design space:
 //!
-//! | Fungus | what decays | how |
-//! |---|---|---|
-//! | [`NullFungus`] | nothing | baseline for comparisons |
-//! | [`RetentionFungus`] | tuples older than a TTL | instant rot (the paper's "old-fashioned" decay) |
-//! | [`LinearFungus`] | every tuple | fixed freshness loss per tick |
-//! | [`ExponentialFungus`] | every tuple | geometric freshness scaling with a rot threshold |
-//! | [`SlidingWindowFungus`] | all but the newest N tuples | instant rot (count-based window) |
-//! | [`StochasticFungus`] | random victims | per-tick eviction probability, optionally age-weighted |
-//! | [`ImportanceFungus`] | cold, unread tuples fastest | decay inversely proportional to access activity |
-//! | [`LeaseFungus`] | tuples idle since their last read | sliding TTL renewed by every access |
-//! | [`EgiFungus`] | rotting *spots* | the paper's Evict-Grouped-Individuals: seed + neighbour spread |
-//! | [`SequenceFungus`] | — | runs several fungi in order |
-//! | [`PeriodicFungus`] | — | rate-limits an inner fungus to every k-th tick |
+//! | Fungus | kind | what decays | how |
+//! |---|---|---|---|
+//! | [`Fungus::Null`] | — | nothing | baseline for comparisons |
+//! | [`RetentionFungus`] | row | tuples older than a TTL | instant rot (the paper's "old-fashioned" decay) |
+//! | [`LinearFungus`] | row | every tuple | fixed freshness loss per tick |
+//! | [`ExponentialFungus`] | row | every tuple | geometric freshness scaling with a rot threshold |
+//! | [`LeaseFungus`] | row | tuples idle since their last read | sliding TTL renewed by every access |
+//! | [`ImportanceFungus`] | row | cold, unread tuples fastest | decay inversely proportional to access activity |
+//! | [`SlidingWindowFungus`] | process | all but the newest N tuples | instant rot (count-based window) |
+//! | [`StochasticFungus`] | process | random victims | per-tick eviction probability, optionally age-weighted |
+//! | [`EgiFungus`] | process | rotting *spots* | the paper's Evict-Grouped-Individuals: seed + neighbour spread |
 //!
-//! Every fungus implements the [`Fungus`] trait and acts through the
-//! [`DecaySurface`] abstraction from `fungus-storage`, never touching
-//! attribute values and never evicting — eviction of rotten tuples is the
-//! engine's job, after distillation has seen them.
+//! A [`FungusSpec`] builds the closed [`Fungus`] enum. A *row* fungus is a
+//! pure step from one tuple's metadata and `now` to its new freshness
+//! ([`RowFungus::step`]); the engine applies it in the one walk each
+//! layout implements ([`DecaySurface::rot_walk`]). A *process* draws from
+//! its RNG stream or depends on a tuple's rank, and drives the
+//! [`DecaySurface`] itself. No fungus touches attribute values or evicts —
+//! eviction of rotten tuples is the engine's job, after distillation has
+//! seen them.
 //!
 //! [`DecaySurface`]: fungus_storage::DecaySurface
+//! [`DecaySurface::rot_walk`]: fungus_storage::DecaySurface::rot_walk
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod composite;
-pub mod custom;
 pub mod egi;
 pub mod exponential;
 pub mod fungus;
@@ -44,11 +45,9 @@ pub mod spec;
 pub mod stochastic;
 pub mod window;
 
-pub use composite::{PeriodicFungus, SequenceFungus};
-pub use custom::FnFungus;
 pub use egi::{EgiConfig, EgiFungus, SeedBias};
 pub use exponential::ExponentialFungus;
-pub use fungus::{Fungus, NullFungus};
+pub use fungus::{Fungus, RowFungus};
 pub use importance::ImportanceFungus;
 pub use lease::LeaseFungus;
 pub use retention::{LinearFungus, RetentionFungus};

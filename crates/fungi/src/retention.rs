@@ -3,10 +3,7 @@
 //! The paper: "An old-fashioned decay function `F` would be to consider
 //! retention times, where after the data will be discarded."
 
-use fungus_storage::DecaySurface;
-use fungus_types::{Tick, TickDelta, TupleId};
-
-use crate::fungus::Fungus;
+use fungus_types::{Freshness, Tick, TickDelta, TupleMeta};
 
 /// Hard time-to-live: a tuple older than `max_age` rots instantly.
 ///
@@ -31,41 +28,33 @@ impl RetentionFungus {
     pub fn max_age(&self) -> TickDelta {
         self.max_age
     }
-}
 
-impl Fungus for RetentionFungus {
-    fn name(&self) -> &str {
-        "retention"
+    /// One application to the row `meta` at `now`.
+    pub fn step(&self, meta: &TupleMeta, now: Tick) -> Option<Freshness> {
+        remaining_life(meta, meta.age(now), self.max_age)
     }
 
-    fn tick(&mut self, surface: &mut dyn DecaySurface, now: Tick) {
-        let max_age = self.max_age.as_f64();
-        let mut expired: Vec<TupleId> = Vec::new();
-        let mut updates: Vec<(TupleId, f64)> = Vec::new();
-        surface.for_each_live_meta(&mut |id, meta| {
-            let age = meta.age(now).as_f64();
-            if age >= max_age {
-                expired.push(id);
-            } else {
-                let target = 1.0 - age / max_age;
-                let current = meta.freshness.get();
-                if target < current {
-                    updates.push((id, current - target));
-                }
-            }
-        });
-        for (id, amount) in updates {
-            surface.decay(id, amount);
-        }
-        for id in expired {
-            // Drive freshness to zero; the engine evicts after the tick.
-            surface.decay(id, 1.0);
-        }
-    }
-
-    fn describe(&self) -> String {
+    /// Human-readable parameter summary.
+    pub fn describe(&self) -> String {
         format!("retention(max_age={})", self.max_age)
     }
+}
+
+/// Freshness as the share of `ttl` left after `idle` ticks: an expired row
+/// is driven to zero (the engine evicts after the tick), any other is
+/// lowered — never raised — to `1 − idle/ttl`.
+pub(crate) fn remaining_life(
+    meta: &TupleMeta,
+    idle: TickDelta,
+    ttl: TickDelta,
+) -> Option<Freshness> {
+    let (idle, ttl) = (idle.as_f64(), ttl.as_f64());
+    if idle >= ttl {
+        return Some(meta.freshness.decayed(1.0));
+    }
+    let target = 1.0 - idle / ttl;
+    let current = meta.freshness.get();
+    (target < current).then(|| meta.freshness.decayed(current - target))
 }
 
 /// Linear decay: every tuple loses `1/lifetime` freshness per tick, so a
@@ -89,25 +78,14 @@ impl LinearFungus {
     pub fn per_tick(&self) -> f64 {
         self.per_tick
     }
-}
 
-impl Fungus for LinearFungus {
-    fn name(&self) -> &str {
-        "linear"
+    /// One application to the row `meta`: every row loses `per_tick`.
+    pub fn step(&self, meta: &TupleMeta, _now: Tick) -> Option<Freshness> {
+        Some(meta.freshness.decayed(self.per_tick))
     }
 
-    fn tick(&mut self, surface: &mut dyn DecaySurface, _now: Tick) {
-        let ids: Vec<TupleId> = {
-            let mut v = Vec::with_capacity(surface.live_count());
-            surface.for_each_live_meta(&mut |id, _| v.push(id));
-            v
-        };
-        for id in ids {
-            surface.decay(id, self.per_tick);
-        }
-    }
-
-    fn describe(&self) -> String {
+    /// Human-readable parameter summary.
+    pub fn describe(&self) -> String {
         format!("linear(per_tick={:.4})", self.per_tick)
     }
 }
@@ -116,15 +94,20 @@ impl Fungus for LinearFungus {
 mod tests {
     use super::*;
     use crate::testutil::{freshness, table_with};
+    use fungus_storage::TableStore;
     use fungus_types::TupleId;
+
+    fn retention(table: &mut TableStore, max_age: u64, now: u64) {
+        let f = RetentionFungus::new(TickDelta(max_age));
+        table.rot_walk(&mut |m| f.step(m, Tick(now)));
+    }
 
     #[test]
     fn retention_expires_old_tuples() {
         // Tuples inserted at ticks 0..10; TTL 5, observed at tick 7:
         // ages are 7,6,5,4,... → ids 0,1,2 expire.
         let mut table = table_with(10);
-        let mut f = RetentionFungus::new(TickDelta(5));
-        f.tick(&mut table, Tick(7));
+        retention(&mut table, 5, 7);
         let evicted = table.evict_rotten();
         let ids: Vec<u64> = evicted.iter().map(|t| t.meta.id.get()).collect();
         assert_eq!(ids, vec![0, 1, 2]);
@@ -134,8 +117,7 @@ mod tests {
     #[test]
     fn retention_freshness_is_remaining_lifetime() {
         let mut table = table_with(10);
-        let mut f = RetentionFungus::new(TickDelta(10));
-        f.tick(&mut table, Tick(9));
+        retention(&mut table, 10, 9);
         // Tuple 9 was inserted at tick 9 → age 0 → still fully fresh.
         assert_eq!(freshness(&table, 9), 1.0);
         // Tuple 4: age 5 of TTL 10 → freshness 0.5.
@@ -149,8 +131,7 @@ mod tests {
         let mut table = table_with(5);
         // Externally decay tuple 4 below its retention target.
         table.decay(TupleId(4), 0.9);
-        let mut f = RetentionFungus::new(TickDelta(100));
-        f.tick(&mut table, Tick(4));
+        retention(&mut table, 100, 4);
         assert!(
             freshness(&table, 4) <= 0.1 + 1e-12,
             "retention must not refresh an already-decayed tuple"
@@ -166,12 +147,12 @@ mod tests {
     #[test]
     fn linear_decay_accumulates_to_rot() {
         let mut table = table_with(3);
-        let mut f = LinearFungus::new(TickDelta(4));
+        let f = LinearFungus::new(TickDelta(4));
         for t in 1..=3u64 {
-            f.tick(&mut table, Tick(t));
+            table.rot_walk(&mut |m| f.step(m, Tick(t)));
         }
         assert!((freshness(&table, 0) - 0.25).abs() < 1e-9);
-        f.tick(&mut table, Tick(4));
+        table.rot_walk(&mut |m| f.step(m, Tick(4)));
         let evicted = table.evict_rotten();
         assert_eq!(evicted.len(), 3, "whole extent rots after `lifetime` ticks");
         assert_eq!(

@@ -7,8 +7,6 @@ use fungus_clock::DeterministicRng;
 use fungus_storage::DecaySurface;
 use fungus_types::{Tick, TupleId};
 
-use crate::fungus::Fungus;
-
 /// Every tick, each live tuple independently rots with probability
 /// `eviction_prob`, optionally weighted by age (probability scales with
 /// `min(1, age / age_scale)` when an `age_scale` is configured).
@@ -49,22 +47,9 @@ impl StochasticFungus {
     pub fn eviction_prob(&self) -> f64 {
         self.eviction_prob
     }
-}
 
-fn sanitize(p: f64) -> f64 {
-    if p.is_nan() {
-        0.0
-    } else {
-        p.clamp(0.0, 1.0)
-    }
-}
-
-impl Fungus for StochasticFungus {
-    fn name(&self) -> &str {
-        "stochastic"
-    }
-
-    fn tick(&mut self, surface: &mut dyn DecaySurface, now: Tick) {
+    /// One cycle at `now`: one draw per live tuple, in id order.
+    pub fn tick(&mut self, surface: &mut dyn DecaySurface, now: Tick) {
         if self.eviction_prob == 0.0 {
             return;
         }
@@ -87,11 +72,20 @@ impl Fungus for StochasticFungus {
         }
     }
 
-    fn describe(&self) -> String {
+    /// Human-readable parameter summary.
+    pub fn describe(&self) -> String {
         match self.age_scale {
             Some(s) => format!("stochastic(p={}, age_scale={s})", self.eviction_prob),
             None => format!("stochastic(p={})", self.eviction_prob),
         }
+    }
+}
+
+fn sanitize(p: f64) -> f64 {
+    if p.is_nan() {
+        0.0
+    } else {
+        p.clamp(0.0, 1.0)
     }
 }
 

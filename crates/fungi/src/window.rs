@@ -3,8 +3,6 @@
 use fungus_storage::DecaySurface;
 use fungus_types::{Tick, TupleId};
 
-use crate::fungus::Fungus;
-
 /// Keeps only the newest `capacity` tuples; everything older rots
 /// instantly. This is the streaming-systems window the paper's conclusion
 /// nods at ("fundamental to streaming database systems").
@@ -29,14 +27,9 @@ impl SlidingWindowFungus {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-}
 
-impl Fungus for SlidingWindowFungus {
-    fn name(&self) -> &str {
-        "sliding-window"
-    }
-
-    fn tick(&mut self, surface: &mut dyn DecaySurface, _now: Tick) {
+    /// One cycle: a tuple's freshness follows its rank from the newest.
+    pub fn tick(&mut self, surface: &mut dyn DecaySurface, _now: Tick) {
         let live = surface.live_count();
         let mut ids: Vec<TupleId> = Vec::with_capacity(live);
         surface.for_each_live_meta(&mut |id, _| ids.push(id));
@@ -59,7 +52,8 @@ impl Fungus for SlidingWindowFungus {
         }
     }
 
-    fn describe(&self) -> String {
+    /// Human-readable parameter summary.
+    pub fn describe(&self) -> String {
         format!("sliding-window(capacity={})", self.capacity)
     }
 }

@@ -1226,6 +1226,14 @@ impl DecaySurface for ShardedExtent {
         Some(f)
     }
 
+    fn rot_walk(&mut self, step: &mut dyn FnMut(&TupleMeta) -> Option<Freshness>) {
+        // Serial, shard by shard in id order: a step may carry state, and
+        // the walk writes in place, so there is nothing to merge.
+        for sh in &mut self.shards {
+            sh.rot_walk(step);
+        }
+    }
+
     fn infect(&mut self, id: TupleId, now: Tick) -> bool {
         match self.locate_mut(id) {
             Some(sh) => {
@@ -1361,7 +1369,7 @@ impl QueryExtent for ShardedExtent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fungus_fungi::{EgiConfig, EgiFungus, Fungus, SeedBias};
+    use fungus_fungi::{EgiConfig, EgiFungus, SeedBias};
     use fungus_query::execute_statement;
     use fungus_types::{DataType, Value};
 

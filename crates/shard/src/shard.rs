@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use fungus_query::MetaRanges;
 use fungus_storage::{StorageConfig, TableStore};
-use fungus_types::{Result, Schema, Tick};
+use fungus_types::{Freshness, Result, Schema, Tick, TupleMeta};
 
 /// A single time-range shard of a container extent.
 #[derive(Debug)]
@@ -209,6 +209,17 @@ impl Shard {
     pub fn note_freshness(&mut self, freshness: f64) {
         self.freshness_lo = self.freshness_lo.min(freshness);
         self.dirty = true;
+    }
+
+    /// Runs one rot walk over the store (see [`TableStore::rot_walk`]).
+    /// Only a walk that wrote something drops the cached twin and lowers
+    /// the envelope, so a shard no row of which changed stays clean and
+    /// re-publishes its sealed store.
+    pub fn rot_walk(&mut self, step: &mut dyn FnMut(&TupleMeta) -> Option<Freshness>) {
+        if let Some(lowest) = self.store.rot_walk(step) {
+            self.snap_cache = None;
+            self.note_freshness(lowest.get());
+        }
     }
 
     /// Recomputes the exact summary from live tuples and clears the dirty

@@ -34,7 +34,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use fungus_types::{Tuple, TupleId};
+use fungus_types::{Tuple, TupleId, TupleMeta};
 
 use crate::zonemap::ZoneMap;
 
@@ -321,6 +321,21 @@ impl Segment {
         match &self.repr {
             Repr::Dense(slots) => Box::new(slots.iter().filter_map(Slot::live)),
             Repr::Sparse { live, .. } => Box::new(live.iter().map(|(_, t)| t)),
+        }
+    }
+
+    /// The live tuples' metadata, mutably, in id order: the write half of
+    /// the table's rot walk. Attribute values are out of reach, so the zone
+    /// map and byte count stay exact.
+    pub(crate) fn live_metas_mut(&mut self) -> Box<dyn Iterator<Item = &mut TupleMeta> + '_> {
+        match &mut self.repr {
+            Repr::Dense(slots) => Box::new(
+                slots
+                    .iter_mut()
+                    .filter_map(Slot::live_mut)
+                    .map(|t| &mut t.meta),
+            ),
+            Repr::Sparse { live, .. } => Box::new(live.iter_mut().map(|(_, t)| &mut t.meta)),
         }
     }
 

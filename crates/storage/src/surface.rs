@@ -3,6 +3,10 @@
 //! Every decay model in `fungus-fungi` is written against [`DecaySurface`]
 //! rather than [`TableStore`] directly, so fungi are unit-testable on mock
 //! stores and the storage layout can evolve without touching decay logic.
+//! A fungus whose step for a row reads only that row hands the step to
+//! [`rot_walk`](DecaySurface::rot_walk), the one walk each layout
+//! implements; a process (EGI, stochastic, window) drives the per-id
+//! methods itself.
 //!
 //! The surface deliberately exposes *metadata only*: a fungus may read ages
 //! and freshness, infect, cure, and decay — it can never see attribute
@@ -44,16 +48,11 @@ pub trait DecaySurface {
     /// Nearest live neighbours along the time axis: `(older, younger)`.
     fn live_neighbors(&self, id: TupleId) -> (Option<TupleId>, Option<TupleId>);
 
-    /// Snapshot of `(id, meta)` for every live tuple, in id order.
-    ///
-    /// Convenience for fungi that need random access by index for weighted
-    /// sampling; the default builds it via
-    /// [`for_each_live_meta`](Self::for_each_live_meta).
-    fn live_metas(&self) -> Vec<(TupleId, TupleMeta)> {
-        let mut out = Vec::with_capacity(self.live_count());
-        self.for_each_live_meta(&mut |id, meta| out.push((id, *meta)));
-        out
-    }
+    /// The engine's one rot walk: offers every live tuple's metadata to
+    /// `step` in id order and stores each freshness it returns; `None`
+    /// writes nothing. What a write costs (a segment copy, a dirty shard,
+    /// a lower freshness envelope) is paid only where a row changed.
+    fn rot_walk(&mut self, step: &mut dyn FnMut(&TupleMeta) -> Option<Freshness>);
 
     /// `(id, age in ticks)` of every live **uninfected** tuple, in id order
     /// — the EGI seed candidate list.
@@ -94,6 +93,10 @@ impl DecaySurface for TableStore {
 
     fn scale_freshness(&mut self, id: TupleId, factor: f64) -> Option<Freshness> {
         TableStore::scale_freshness(self, id, factor)
+    }
+
+    fn rot_walk(&mut self, step: &mut dyn FnMut(&TupleMeta) -> Option<Freshness>) {
+        TableStore::rot_walk(self, step);
     }
 
     fn infect(&mut self, id: TupleId, now: Tick) -> bool {
@@ -143,12 +146,16 @@ mod tests {
     }
 
     #[test]
-    fn live_metas_orders_by_id() {
-        let t = table_with(4);
-        let metas = DecaySurface::live_metas(&t);
-        let ids: Vec<u64> = metas.iter().map(|(id, _)| id.get()).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-        assert!(metas.iter().all(|(id, m)| *id == m.id));
+    fn rot_walk_visits_in_id_order_and_writes_through() {
+        let mut t = table_with(4);
+        let mut seen = Vec::new();
+        DecaySurface::rot_walk(&mut t, &mut |m| {
+            seen.push(m.id.get());
+            (m.id.get() == 2).then_some(Freshness::ROTTEN)
+        });
+        assert_eq!(seen, vec![0, 1, 2, 3]);
+        assert!(t.get(TupleId(2)).unwrap().meta.is_rotten());
+        assert!(t.get(TupleId(3)).unwrap().meta.freshness.is_full());
     }
 
     #[test]

@@ -3,7 +3,9 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use fungus_types::{FungusError, Result, Schema, Tick, Tuple, TupleId, Value};
+use fungus_types::{
+    Freshness, FungusError, Result, Schema, Tick, Tuple, TupleId, TupleMeta, Value,
+};
 
 use crate::config::StorageConfig;
 use crate::index::{HashIndex, OrdIndex};
@@ -550,6 +552,37 @@ impl TableStore {
         Some(t.meta.freshness)
     }
 
+    /// One rot walk: offers every live tuple's metadata to `step` in id
+    /// order and stores each freshness it returns (`None` writes nothing).
+    /// A segment is un-shared at its first write, so one that no row
+    /// changes stays the allocation every clone of this store holds.
+    /// Returns the lowest freshness written, `None` if nothing was.
+    pub fn rot_walk(
+        &mut self,
+        step: &mut dyn FnMut(&TupleMeta) -> Option<Freshness>,
+    ) -> Option<Freshness> {
+        let mut lowest: Option<Freshness> = None;
+        let mut write = |meta: &mut TupleMeta, f: Freshness| {
+            meta.freshness = f;
+            lowest = Some(lowest.map_or(f, |l| l.min(f)));
+        };
+        for seg in &mut self.segments {
+            let first = seg
+                .iter_live()
+                .enumerate()
+                .find_map(|(i, t)| step(&t.meta).map(|f| (i, f)));
+            let Some((skip, f)) = first else { continue };
+            let mut rest = Arc::make_mut(seg).live_metas_mut().skip(skip);
+            write(rest.next().expect("the row found above"), f);
+            for meta in rest {
+                if let Some(f) = step(meta) {
+                    write(meta, f);
+                }
+            }
+        }
+        lowest
+    }
+
     /// Removes every tuple whose freshness has reached zero, returning the
     /// evicted tuples (the engine feeds them to distillation sinks before
     /// they are lost, honouring "inspect them once before removal").
@@ -1015,6 +1048,31 @@ mod tests {
         assert!(t
             .iter_live()
             .all(|x| (x.meta.freshness.get() - 0.8).abs() < 1e-12));
+    }
+
+    #[test]
+    fn a_rot_walk_writes_what_the_step_returns_and_unshares_only_those_segments() {
+        let mut t = indexed_table(24); // three sealed segments of 8
+        for id in 8..15 {
+            t.delete(TupleId(id), TombstoneReason::Consumed);
+        }
+        t.compact(); // segment 1 goes sparse around its one live row, id 15
+        let pinned = t.clone();
+        // Odd ids below 16 lose a quarter; segment 2 (ids 16..24) is left alone.
+        let hit = |id: u64| id % 2 == 1 && id < 16;
+        let lowest = t.rot_walk(&mut |m| hit(m.id.get()).then(|| m.freshness.decayed(0.25)));
+        assert_eq!(lowest.map(Freshness::get), Some(0.75));
+        assert_eq!(shared_segments(&pinned, &t), vec![false, false, true]);
+        for x in t.iter_live() {
+            let want = if hit(x.meta.id.get()) { 0.75 } else { 1.0 };
+            assert_eq!(x.meta.freshness.get(), want, "{:?}", x.meta.id);
+        }
+        assert!(pinned.iter_live().all(|x| x.meta.freshness.is_full()));
+
+        // A walk that writes nothing copies nothing.
+        let sealed = t.clone();
+        assert_eq!(t.rot_walk(&mut |_| None), None);
+        assert_eq!(shared_segments(&sealed, &t), vec![true; 3]);
     }
 
     #[test]

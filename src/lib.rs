@@ -59,7 +59,7 @@ pub use fungus_workload;
 
 /// The most common imports, re-exported flat.
 pub mod prelude {
-    pub use fungus_clock::{DeterministicRng, Simulation, TickScheduler, VirtualClock};
+    pub use fungus_clock::{DeterministicRng, TickScheduler, VirtualClock};
     pub use fungus_core::{
         Container, ContainerPolicy, Database, DistillSpec, DistillTrigger, HealthMonitor,
         HealthReport, HealthStatus, MvccTelemetry, QueryOutcome, SharedDatabase, SnapshotHandle,

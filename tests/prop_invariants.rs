@@ -146,7 +146,7 @@ proptest! {
     /// manifest path).
     #[test]
     fn fungus_specs_roundtrip_json(
-        choice in 0usize..7,
+        choice in 0usize..9,
         a in 1u64..1000,
         p in 0.01f64..0.99,
     ) {
@@ -158,10 +158,13 @@ proptest! {
             3 => FungusSpec::Exponential { lambda: p, rot_threshold: 0.01 },
             4 => FungusSpec::SlidingWindow { capacity: a as usize },
             5 => FungusSpec::Stochastic { eviction_prob: p, age_scale: Some(a as f64) },
-            _ => FungusSpec::Sequence(vec![
-                FungusSpec::Lease { lease: a },
-                FungusSpec::Egi(EgiConfig::default()),
-            ]),
+            6 => FungusSpec::Lease { lease: a },
+            7 => FungusSpec::Importance { base_rate: p, recency_shield: a as f64 },
+            _ => FungusSpec::Egi(EgiConfig {
+                seeds_per_tick: a as usize,
+                rot_rate: p,
+                ..EgiConfig::default()
+            }),
         };
         let text = json::to_string(&spec).unwrap();
         let back: FungusSpec = json::from_str(&text).unwrap();

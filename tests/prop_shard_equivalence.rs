@@ -2,8 +2,9 @@
 //! same seed and the same interleaved workload, a container sharded into
 //! 1, 4, or 16 time-range shards returns *identical* query results and
 //! evicts *identical* tuple sets as the default one-shard layout, tick for
-//! tick. (The bare-`TableStore` reference lives in `fungus-shard`'s unit
-//! tests; here the never-sealing shard is the container-level oracle.)
+//! tick, under EGI and under every row fungus. (The bare-`TableStore`
+//! reference lives in `fungus-shard`'s unit tests and in `prop_rot_walk`;
+//! here the never-sealing shard is the container-level oracle.)
 //!
 //! This is the contract that makes sharding a pure layout decision: EGI's
 //! seed draws stay on the container's single RNG stream over the globally
@@ -51,17 +52,34 @@ struct Observed {
     survivors: Vec<(u64, Vec<Value>)>,
 }
 
-fn run_workload(ops: &[Op], seed: u64, spec: ShardSpec) -> Observed {
+/// Fungi aggressive enough that short op sequences still rot: EGI with
+/// two age-biased seeds per tick, half-freshness bites and narrow spread,
+/// and every row fungus with a lifetime of a few ticks.
+fn arb_fungus() -> impl Strategy<Value = FungusSpec> {
+    prop_oneof![
+        5 => Just(FungusSpec::Egi(EgiConfig {
+            seeds_per_tick: 2,
+            seed_bias: SeedBias::AgePow(2.0),
+            rot_rate: 0.5,
+            spread_width: 2,
+        })),
+        1 => (1u64..8).prop_map(|max_age| FungusSpec::Retention { max_age }),
+        1 => (1u64..6).prop_map(|lifetime| FungusSpec::Linear { lifetime }),
+        1 => (0.2f64..1.5).prop_map(|lambda| FungusSpec::Exponential {
+            lambda,
+            rot_threshold: 0.1,
+        }),
+        1 => (1u64..6).prop_map(|lease| FungusSpec::Lease { lease }),
+        1 => (0.2f64..=1.0).prop_map(|base_rate| FungusSpec::Importance {
+            base_rate,
+            recency_shield: 5.0,
+        }),
+    ]
+}
+
+fn run_workload(ops: &[Op], seed: u64, fungus: &FungusSpec, spec: ShardSpec) -> Observed {
     let schema = Schema::from_pairs(&[("v", DataType::Int)]).unwrap();
-    // A fungus aggressive enough that short op sequences still rot: two
-    // age-biased seeds per tick, half-freshness bites, narrow spread.
-    let policy = ContainerPolicy::new(FungusSpec::Egi(EgiConfig {
-        seeds_per_tick: 2,
-        seed_bias: SeedBias::AgePow(2.0),
-        rot_rate: 0.5,
-        spread_width: 2,
-    }))
-    .with_sharding(spec);
+    let policy = ContainerPolicy::new(fungus.clone()).with_sharding(spec);
     let rng = DeterministicRng::new(seed);
     let mut c = Container::new("t", schema, policy, &rng).unwrap();
 
@@ -129,7 +147,7 @@ fn run_workload(ops: &[Op], seed: u64, spec: ShardSpec) -> Observed {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Default (one never-sealing shard), fixed 1/4/16-shard, and adaptive
     /// layouts all observe identical histories. The adaptive specs put the lifecycle on the
@@ -140,13 +158,14 @@ proptest! {
     fn shard_layouts_are_observationally_equivalent(
         ops in proptest::collection::vec(arb_op(), 1..80),
         seed in 0u64..1_000,
+        fungus in arb_fungus(),
     ) {
         let inserts = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count() as u64;
-        let mono = run_workload(&ops, seed, ShardSpec::default());
+        let mono = run_workload(&ops, seed, &fungus, ShardSpec::default());
         for shards in [1u64, 4, 16] {
             let rows_per_shard = (inserts / shards).max(1);
             let spec = ShardSpec::new(rows_per_shard).with_workers(1);
-            let sharded = run_workload(&ops, seed, spec);
+            let sharded = run_workload(&ops, seed, &fungus, spec);
             prop_assert_eq!(
                 &mono, &sharded,
                 "layout with ~{} shards diverged from monolithic", shards
@@ -158,7 +177,7 @@ proptest! {
                 .with_workers(1)
                 .with_adaptive()
                 .with_low_water(low_water);
-            let adaptive = run_workload(&ops, seed, spec);
+            let adaptive = run_workload(&ops, seed, &fungus, spec);
             prop_assert_eq!(
                 &mono, &adaptive,
                 "adaptive layout (rows {}, low water {}) diverged from monolithic",
