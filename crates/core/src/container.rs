@@ -9,7 +9,7 @@ use fungus_types::{Result, Schema, Tick, Tuple, TupleId, Value};
 
 use crate::distill::Distiller;
 use crate::metrics::EngineMetrics;
-use crate::mvcc::ContainerMvcc;
+use crate::mvcc::{ContainerMvcc, TouchQueue};
 use crate::policy::ContainerPolicy;
 
 /// What one decay pass did.
@@ -310,14 +310,12 @@ impl Container {
     // calls these under this container's write lock; see `crate::mvcc`
     // for the isolation contract they implement.
 
-    /// Applies deferred access-metadata bumps queued by snapshot reads
-    /// (ids that rotted or were consumed since queueing are skipped by
-    /// the extent).
-    pub fn apply_touches(&mut self, entries: &[(TupleId, Tick)]) {
-        for (id, at) in entries {
-            QueryExtent::touch(&mut self.extent, *id, *at);
-        }
-        if !entries.is_empty() {
+    /// Applies deferred access-metadata bumps queued by snapshot reads,
+    /// each `(id, latest tick, reads)` entry in one write (ids that rotted
+    /// or were consumed since queueing are skipped by the extent).
+    pub(crate) fn apply_touches(&mut self, touches: &TouchQueue) {
+        for (id, at, reads) in touches.entries() {
+            QueryExtent::touch_by(&mut self.extent, id, at, reads);
             self.mvcc_dirty = true;
         }
     }

@@ -8,9 +8,10 @@ use fungus_lint_rt::{hierarchy, OrderedRwLock};
 
 use fungus_clock::{DeterministicRng, Task, TaskHandle, TickScheduler, VirtualClock};
 use fungus_query::{
-    execute_readonly, parse_statement, Planner, ResultSet, SelectStatement, Statement,
+    execute_readonly, insert_literal_rows, parse_statement, Planner, ResultSet, SelectStatement,
+    Statement,
 };
-use fungus_types::{FungusError, Result, Schema, Tick, Tuple, TupleId, Value};
+use fungus_types::{FungusError, Result, Schema, Tick, TupleId, Value};
 
 use crate::container::Container;
 use crate::health::{HealthMonitor, HealthReport};
@@ -303,18 +304,8 @@ impl Database {
             Statement::Insert { table, rows } => {
                 let (c, cell) = self.entry(&table)?;
                 let mut guard = c.write();
-                let empty_schema = Schema::new(vec![])?;
-                let dummy = Tuple::new(TupleId(0), now, vec![]);
-                let mut inserted = 0i64;
-                for row in rows {
-                    let mut values = Vec::with_capacity(row.len());
-                    for e in row {
-                        e.validate(&empty_schema)?;
-                        values.push(e.eval(&dummy, &empty_schema, now)?);
-                    }
-                    guard.insert(values, now)?;
-                    inserted += 1;
-                }
+                let inserted =
+                    insert_literal_rows(rows, now, |values| guard.insert(values, now).map(drop))?;
                 guard.drain_and_publish(cell);
                 Ok(QueryOutcome {
                     result: ResultSet {
@@ -462,7 +453,7 @@ impl Database {
         let (result, returned) = execute_readonly(&plan, version.extent(), now)?;
         if !plan.consume {
             cell.note_snapshot_read();
-            cell.queue_touches(&returned, now);
+            cell.queue_touches(&returned, now, version.extent().live_count());
             return Ok(Some(QueryOutcome {
                 result,
                 distilled: 0,

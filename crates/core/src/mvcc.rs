@@ -52,11 +52,22 @@
 //!
 //! Snapshot reads cannot bump access metadata (the snapshot is immutable
 //! and shared), so the returned ids are queued on the cell's `touches`
-//! list; the next mutator drains the queue under the container lock and
+//! queue; the next mutator drains the queue under the container lock and
 //! applies the touches to the live extent before doing its own work.
-//! Access metadata therefore lags reality by at most one
-//! mutation — acceptable for an importance signal, and documented as
-//! outside the serializability observable (`DESIGN.md`).
+//! Access metadata therefore lags reality by at most one mutation — the
+//! contract is the same with the bound below — acceptable for an
+//! importance signal, and documented as outside the serializability
+//! observable (`DESIGN.md`).
+//!
+//! Readers can queue faster than mutators drain, so the queue is bounded
+//! by the extent rather than by a setting: once more touches wait
+//! unfolded than the reading version has live rows, the queue folds to
+//! one `(id, latest tick, reads)` entry per id, under the same `touches`
+//! lock. A drain writes each folded entry once, `access_count += reads`,
+//! and what is still unfolded one read at a time; `last_access` keeps the
+//! latest tick recorded (`TupleMeta::touch_by`). So when pins taken at
+//! different ticks queue out of tick order, a row keeps the latest tick,
+//! not the tick of whichever touch happened to apply last.
 //!
 //! ## Reclamation
 //!
@@ -151,7 +162,7 @@ pub struct ContainerMvcc {
     retired: OrderedMutex<Vec<Weak<Versioned>>>,
     /// Deferred access-metadata bumps queued by snapshot reads; drained
     /// by the next mutator under the container lock.
-    touches: OrderedMutex<Vec<(TupleId, Tick)>>,
+    touches: OrderedMutex<TouchQueue>,
     published: AtomicU64,
     retired_total: AtomicU64,
     reclaimed: AtomicU64,
@@ -172,7 +183,7 @@ impl ContainerMvcc {
             epoch: AtomicU64::new(1),
             head: OrderedRwLock::new(&hierarchy::MVCC_VERSIONS, first),
             retired: OrderedMutex::new(&hierarchy::MVCC_RETIRED, Vec::new()),
-            touches: OrderedMutex::new(&hierarchy::MVCC_TOUCHES, Vec::new()),
+            touches: OrderedMutex::new(&hierarchy::MVCC_TOUCHES, TouchQueue::default()),
             published: AtomicU64::new(1),
             retired_total: AtomicU64::new(0),
             reclaimed: AtomicU64::new(0),
@@ -251,21 +262,21 @@ impl ContainerMvcc {
         retired.len() as u64
     }
 
-    /// Queues deferred access-metadata bumps from a snapshot read.
-    pub fn queue_touches(&self, ids: &[TupleId], at: Tick) {
+    /// Queues deferred access-metadata bumps from a snapshot read of a
+    /// version holding `live` rows (see "Deferred touches" above for how
+    /// that bounds the queue).
+    pub fn queue_touches(&self, ids: &[TupleId], at: Tick, live: usize) {
         if ids.is_empty() {
             return;
         }
-        let mut touches = self.touches.lock();
-        touches.extend(ids.iter().map(|id| (*id, at)));
+        self.touches.lock().push(ids, at, live);
     }
 
-    /// Drains the deferred-touch queue. Callers hold the container write
-    /// lock and apply the entries to the live extent (`CONTAINERS` 30 <
-    /// `Mvcc.touches` 44 — ascending).
-    pub fn drain_touches(&self) -> Vec<(TupleId, Tick)> {
-        let mut touches = self.touches.lock();
-        std::mem::take(&mut *touches)
+    /// Empties the deferred-touch queue. Callers hold the container write
+    /// lock and apply its [`entries`](TouchQueue::entries) to the live
+    /// extent (`CONTAINERS` 30 < `Mvcc.touches` 44 — ascending).
+    pub(crate) fn drain_touches(&self) -> TouchQueue {
+        std::mem::take(&mut *self.touches.lock())
     }
 
     /// Counts one lock-free snapshot read.
@@ -299,6 +310,69 @@ impl ContainerMvcc {
             consume_fallbacks: self.consume_fallbacks.load(Ordering::Relaxed),
         }
     }
+}
+
+/// The deferred-touch queue: touches as reads queued them, 16 bytes each,
+/// plus earlier ones folded to one entry per id.
+#[derive(Debug, Default)]
+pub(crate) struct TouchQueue {
+    /// `(id, tick)` per returned row, in the order reads queued them.
+    queued: Vec<(TupleId, Tick)>,
+    /// `(id, latest tick, reads)`, one entry per id, in id order.
+    folded: Vec<(TupleId, Tick, u32)>,
+}
+
+impl TouchQueue {
+    /// Appends one read's ids. Once more touches wait unfolded than the
+    /// read's version has `live` rows, folds them all, so the queue never
+    /// holds more than `live` unfolded entries plus one per distinct id.
+    fn push(&mut self, ids: &[TupleId], at: Tick, live: usize) {
+        self.queued.extend(ids.iter().map(|&id| (id, at)));
+        if self.queued.len() > live {
+            self.fold();
+        }
+    }
+
+    /// Moves every queued touch into `folded`: reads add up and the latest
+    /// tick wins, whatever order the reads arrived in. Sorts `queued` in
+    /// place and keeps its allocation for the reads to come.
+    fn fold(&mut self) {
+        self.queued.sort_unstable_by_key(|&(id, _)| id);
+        let earlier = self.folded.len();
+        for (id, at) in self.queued.drain(..) {
+            match self.folded.last_mut() {
+                Some(last) if last.0 == id => merge(last, (id, at, 1)),
+                _ => self.folded.push((id, at, 1)),
+            }
+        }
+        if earlier > 0 {
+            // Two id-ordered runs, the earlier fold and this one: the
+            // stable sort merges them, then equal ids combine.
+            self.folded.sort_by_key(|&(id, ..)| id);
+            self.folded.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    merge(kept, *next);
+                }
+                same
+            });
+        }
+    }
+
+    /// Every touch as `(id, latest tick, reads)`: the folded entries, then
+    /// the rest one read each, as queued. Applying them in this order or
+    /// any other leaves the same metadata; a drain does not fold first,
+    /// because sorting the queue costs more than the writes it saves.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (TupleId, Tick, u32)> + '_ {
+        let queued = self.queued.iter().map(|&(id, at)| (id, at, 1));
+        self.folded.iter().copied().chain(queued)
+    }
+}
+
+/// Folds `touch` into `into`, both for the same id.
+fn merge(into: &mut (TupleId, Tick, u32), touch: (TupleId, Tick, u32)) {
+    into.1 = into.1.max(touch.1);
+    into.2 = into.2.saturating_add(touch.2);
 }
 
 /// A pinned snapshot a caller holds across multiple reads: the version
@@ -357,9 +431,11 @@ impl SnapshotHandle {
                     .into(),
             ));
         }
-        let (result, returned) = execute_readonly(&plan, self.version.extent(), self.at)?;
+        let extent = self.version.extent();
+        let (result, returned) = execute_readonly(&plan, extent, self.at)?;
         self.cell.note_snapshot_read();
-        self.cell.queue_touches(&returned, self.at);
+        self.cell
+            .queue_touches(&returned, self.at, extent.live_count());
         Ok(result)
     }
 
@@ -429,17 +505,69 @@ mod tests {
         let store = store_with(&[]);
         let d = Distiller::new(&[], store.schema(), 0).unwrap();
         let cell = ContainerMvcc::new(snap_of(&store), d);
-        cell.queue_touches(&[TupleId(1), TupleId(2)], Tick(7));
-        cell.queue_touches(&[], Tick(8)); // no-op
-        cell.queue_touches(&[TupleId(3)], Tick(9));
+        cell.queue_touches(&[TupleId(1), TupleId(2)], Tick(7), 4);
+        cell.queue_touches(&[], Tick(8), 4); // no-op
+        cell.queue_touches(&[TupleId(3), TupleId(1)], Tick(9), 4);
+        let drained = |cell: &ContainerMvcc| cell.drain_touches().entries().collect::<Vec<_>>();
         assert_eq!(
-            cell.drain_touches(),
+            drained(&cell),
             vec![
-                (TupleId(1), Tick(7)),
-                (TupleId(2), Tick(7)),
-                (TupleId(3), Tick(9))
+                (TupleId(1), Tick(7), 1),
+                (TupleId(2), Tick(7), 1),
+                (TupleId(3), Tick(9), 1),
+                (TupleId(1), Tick(9), 1)
             ]
         );
-        assert!(cell.drain_touches().is_empty());
+        assert!(drained(&cell).is_empty());
+        // Past the live row count the queue folds: one entry per id.
+        cell.queue_touches(&[TupleId(2), TupleId(1)], Tick(4), 3);
+        cell.queue_touches(&[TupleId(2), TupleId(2)], Tick(3), 3);
+        assert_eq!(
+            drained(&cell),
+            vec![(TupleId(1), Tick(4), 1), (TupleId(2), Tick(4), 3)]
+        );
+    }
+
+    /// K reads of the same L rows, faster than any mutator drains: the
+    /// queue stays within 2·L entries plus one read's ids (the unbounded
+    /// queue this replaced held K·L), and one drain lands every read.
+    #[test]
+    fn touch_queue_is_bounded_by_the_extent_and_loses_no_read() {
+        const L: usize = 50;
+        const K: u64 = 40;
+        let values: Vec<i64> = (0..L as i64).collect();
+        let mut c = crate::Container::from_store(
+            "t",
+            store_with(&values),
+            crate::ContainerPolicy::immortal(),
+            &fungus_clock::DeterministicRng::new(3),
+        )
+        .unwrap();
+        let cell = c.open_cell();
+        let ids: Vec<TupleId> = (0..L as u64).map(TupleId).collect();
+        let live = cell.pin().extent().live_count();
+        assert_eq!(live, L);
+        // Pins taken at different ticks queue out of tick order.
+        let ticks: Vec<u64> = (0..K).map(|k| 10 + (k * 17) % K).collect();
+        let entries = || {
+            let q = cell.touches.lock();
+            q.queued.len() + q.folded.len()
+        };
+        for &at in &ticks {
+            cell.queue_touches(&ids, Tick(at), live);
+            assert!(
+                entries() <= 2 * L + ids.len(),
+                "{} entries queued",
+                entries()
+            );
+        }
+        c.drain_and_publish(&cell);
+        let latest = Tick(*ticks.iter().max().unwrap());
+        for id in ids {
+            let meta = fungus_storage::DecaySurface::meta(c.extent(), id).unwrap();
+            assert_eq!(meta.access_count, K as u32, "{id}");
+            assert_eq!(meta.last_access, Some(latest), "{id}");
+        }
+        assert_eq!(entries(), 0);
     }
 }

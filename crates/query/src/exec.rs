@@ -2,18 +2,32 @@
 //!
 //! Execution order:
 //!
-//! 1. **Scan** — walk segments in time order, skipping segments the
-//!    [`PruningPredicate`](crate::prune::PruningPredicate) rules out;
-//!    evaluate the predicate on each live tuple.
-//! 2. **Shape** — project scalar rows or fold aggregate groups.
-//! 3. **Sort + limit** — order the result and truncate.
-//! 4. **Consume** — if the statement says `CONSUME`, delete exactly the
+//! 1. **Scan and shape, in one pass** — the extent walks its shards and
+//!    segments in id order, skipping what the
+//!    [`PruningPredicate`](crate::prune::PruningPredicate) rules out, and
+//!    hands every tuple the predicate accepts straight to the statement's
+//!    sink; nothing looks a match up a second time. The planner bound every
+//!    column reference to its position, so evaluation does no name
+//!    lookups. A scalar sink projects the row and offers it to the top-n
+//!    selection, the one `ORDER BY … LIMIT` path, which holds at most `2·n`
+//!    candidates (`DISTINCT` first folds each row shape to its first
+//!    occurrence). An aggregate sink folds the row into its group's
+//!    accumulators; the implicit global group is a single slot, no map.
+//! 2. **Finish** — groups become output rows, `HAVING` filters them, and
+//!    the same top-n selection orders and limits them by output column.
+//! 3. **Consume** — if the statement says `CONSUME`, delete exactly the
 //!    tuples whose rows were *returned* (after LIMIT in scalar mode; every
 //!    predicate match in aggregate mode, since the aggregate consumed their
 //!    information — including rows of groups a `HAVING` clause later
 //!    filtered from the output, which were still read to compute it).
-//! 5. **Touch** — surviving returned tuples get their access metadata
+//! 4. **Touch** — surviving returned tuples get their access metadata
 //!    bumped, feeding the importance fungus and the waste metric.
+//!
+//! The ids consumed or touched are the ones the same pass kept. A failing
+//! statement fails as if the scan had finished before any row was shaped:
+//! a predicate error wins over a projection, sort-key or aggregate error,
+//! and of those the first in id order wins — whether or not its row would
+//! have made the top `n`.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -21,9 +35,9 @@ use std::collections::HashMap;
 use fungus_storage::TombstoneReason;
 use fungus_types::{ColumnDef, DataType, FungusError, Result, Schema, Tick, Tuple, TupleId, Value};
 
-use crate::expr::AggFunc;
+use crate::expr::{AggFunc, Expr};
 use crate::extent::{QueryExtent, ReadExtent};
-use crate::parser::{parse_statement, SelectStatement, Statement};
+use crate::parser::{parse_statement, Projection, SelectStatement, SortKey, Statement};
 use crate::plan::{LogicalPlan, PlannedExpr, Planner};
 
 /// The answer set `A` of a query, plus the consumed tuples (the paper's
@@ -34,8 +48,10 @@ pub struct ResultSet {
     pub columns: Vec<String>,
     /// Output rows.
     pub rows: Vec<Vec<Value>>,
-    /// Tuples removed by consume semantics, in id order — routed to
-    /// distillation by the engine before they are dropped.
+    /// Tuples removed by consume semantics — routed to distillation by
+    /// the engine before they are dropped. Scalar rows are consumed in
+    /// output order, `DISTINCT` contributors and aggregate inputs in id
+    /// order.
     pub consumed: Vec<Tuple>,
     /// Live tuples examined by the scan.
     pub scanned: usize,
@@ -94,28 +110,29 @@ pub fn execute_parsed<E: QueryExtent>(
             execute(&plan, table, now)
         }
         Statement::Explain(stmt) => explain(&stmt, table.schema()),
-        Statement::Delete { predicate, .. } => {
-            let schema = table.schema().clone();
-            if let Some(p) = &predicate {
-                p.validate(&schema)?;
-            }
-            let matched: Vec<TupleId> = {
-                let mut ids = Vec::new();
-                for id in table.live_ids() {
-                    let t = table.peek(id).expect("live id from the same extent");
-                    let keep = match &predicate {
-                        Some(p) => p.eval_predicate(t, &schema, now)?,
-                        None => true,
-                    };
-                    if keep {
-                        ids.push(id);
-                    }
-                }
-                ids
+        Statement::Delete {
+            table: name,
+            predicate,
+        } => {
+            // A delete is the scan of `SELECT * … WHERE p`; the rows are
+            // discarded unread.
+            let select = SelectStatement {
+                distinct: false,
+                projections: vec![Projection::Wildcard],
+                table: name,
+                predicate,
+                group_by: Vec::new(),
+                having: None,
+                order_by: Vec::new(),
+                limit: None,
+                consume: false,
             };
+            let plan = Planner.plan(&select, table.schema())?;
+            let mut matched = Vec::new();
+            table.scan(&plan, now, &mut |t| matched.push(t.meta.id))?;
             let mut deleted = 0i64;
-            for id in &matched {
-                if table.delete(*id, TombstoneReason::Deleted).is_some() {
+            for id in matched {
+                if table.delete(id, TombstoneReason::Deleted).is_some() {
                     deleted += 1;
                 }
             }
@@ -134,10 +151,13 @@ pub fn execute_parsed<E: QueryExtent>(
              (Database::execute), not against a single table"
         ))),
         Statement::CreateContainer(stmt) => Err(FungusError::PlanError(format!(
-            "CREATE CONTAINER `{}` must run at the database layer              (Database::execute_ddl), not against a single table",
+            "CREATE CONTAINER `{}` must run at the database layer \
+             (Database::execute_ddl), not against a single table",
             stmt.name
         ))),
-        Statement::CreateIndex { column, ordered, .. } => {
+        Statement::CreateIndex {
+            column, ordered, ..
+        } => {
             if ordered {
                 table.create_ord_index(&column)?;
             } else {
@@ -154,20 +174,8 @@ pub fn execute_parsed<E: QueryExtent>(
             })
         }
         Statement::Insert { rows, .. } => {
-            // Literal rows evaluate against a dummy tuple (no column refs
-            // allowed — validate catches them).
-            let dummy_schema = Schema::new(vec![])?;
-            let dummy = Tuple::new(TupleId(0), now, vec![]);
-            let mut inserted = 0i64;
-            for row in rows {
-                let mut values = Vec::with_capacity(row.len());
-                for e in row {
-                    e.validate(&dummy_schema)?;
-                    values.push(e.eval(&dummy, &dummy_schema, now)?);
-                }
-                table.insert(values, now)?;
-                inserted += 1;
-            }
+            let inserted =
+                insert_literal_rows(rows, now, |values| table.insert(values, now).map(drop))?;
             Ok(ResultSet {
                 columns: vec!["inserted".into()],
                 rows: vec![vec![Value::Int(inserted)]],
@@ -179,6 +187,33 @@ pub fn execute_parsed<E: QueryExtent>(
             })
         }
     }
+}
+
+/// Evaluates `INSERT … VALUES` rows in order and hands each to `insert`,
+/// stopping at the first error (rows before it stay inserted). Returns
+/// how many were inserted. Literal rows bind against no columns, so a
+/// column reference fails with [`FungusError::UnknownColumn`].
+pub fn insert_literal_rows(
+    rows: Vec<Vec<Expr>>,
+    now: Tick,
+    mut insert: impl FnMut(Vec<Value>) -> Result<()>,
+) -> Result<i64> {
+    let empty = Schema::new(vec![])?;
+    let dummy = Tuple::new(TupleId(0), now, vec![]);
+    let inserted = rows.len() as i64;
+    // By value: each parsed row is freed as soon as its values are built,
+    // so the rows being inserted can reuse its memory.
+    for row in rows {
+        let values = row
+            .iter()
+            .map(|e| match e {
+                Expr::Literal(v) => Ok(v.clone()),
+                e => e.bind(&empty)?.eval(&dummy, &empty, now),
+            })
+            .collect::<Result<_>>()?;
+        insert(values)?;
+    }
+    Ok(inserted)
 }
 
 /// Answers `EXPLAIN`: plans the statement against `schema` and renders
@@ -214,16 +249,16 @@ pub fn execute<E: QueryExtent>(plan: &LogicalPlan, table: &mut E, now: Tick) -> 
         }
     } else {
         for id in &returned_ids {
-            table.touch(*id, now);
+            table.touch_by(*id, now, 1);
         }
     }
     Ok(result)
 }
 
-/// Executes the **read phases** of a plan: scan (the extent owns the
-/// access-path choice — indexes, zone-map pruning, shard pruning), shape,
-/// sort, limit — everything up to (but excluding) the consume/touch side
-/// effects.
+/// Executes the **read phases** of a plan: the one scan-and-shape pass
+/// (the extent owns the access-path choice — indexes, zone-map pruning,
+/// shard pruning) and the finish — everything up to (but excluding) the
+/// consume/touch side effects.
 ///
 /// Returns the result set (with `consumed` always empty) plus the ids the
 /// answer was drawn from — the exact set [`execute`] consumes (consume
@@ -238,20 +273,18 @@ pub fn execute_readonly<E: ReadExtent + ?Sized>(
     table: &E,
     now: Tick,
 ) -> Result<(ResultSet, Vec<TupleId>)> {
-    let schema = table.schema();
-    let scan = table.scan(plan, now)?;
-    let columns: Vec<String> = plan.outputs.iter().map(|o| o.name.clone()).collect();
-    let (rows, returned_ids) = if plan.aggregate {
-        (
-            aggregate_rows(plan, table, &scan.matched, schema, now)?,
-            scan.matched,
-        )
-    } else {
-        scalar_rows(plan, table, &scan.matched, schema, now)?
+    let mut sink = Sink {
+        plan,
+        schema: table.schema(),
+        now,
+        shape: Shape::new(plan),
+        error: None,
     };
+    let scan = table.scan(plan, now, &mut |t| sink.offer(t))?;
+    let (rows, returned_ids) = sink.finish()?;
     Ok((
         ResultSet {
-            columns,
+            columns: plan.outputs.iter().map(|o| o.name.clone()).collect(),
             rows,
             consumed: Vec::new(),
             scanned: scan.scanned,
@@ -263,86 +296,224 @@ pub fn execute_readonly<E: ReadExtent + ?Sized>(
     ))
 }
 
-/// Scalar mode: evaluate outputs per matched tuple, sort, limit.
-/// Returns the rows plus the ids that were actually returned.
-fn scalar_rows<E: ReadExtent + ?Sized>(
-    plan: &LogicalPlan,
-    table: &E,
-    matched: &[TupleId],
-    schema: &Schema,
+/// What the scan feeds: the statement's shape plus the first error
+/// shaping raised. The error is held, not returned, so the scan runs on
+/// and a later predicate error still wins.
+struct Sink<'p> {
+    plan: &'p LogicalPlan,
+    schema: &'p Schema,
     now: Tick,
-) -> Result<(Vec<Vec<Value>>, Vec<TupleId>)> {
-    // Materialise output row + sort key per match.
-    let mut shaped: Vec<(Vec<Value>, Vec<Value>, TupleId)> = Vec::with_capacity(matched.len());
-    for id in matched {
-        let tuple = table
-            .peek(*id)
-            .expect("matched tuple is live within the same borrow");
-        let mut row = Vec::with_capacity(plan.outputs.len());
-        for out in &plan.outputs {
-            match &out.expr {
-                PlannedExpr::Scalar(e) => row.push(e.eval(tuple, schema, now)?),
-                _ => unreachable!("scalar mode has only scalar outputs"),
-            }
-        }
-        let mut keys = Vec::with_capacity(plan.order_by.len());
-        for key in &plan.order_by {
-            keys.push(key.expr.eval(tuple, schema, now)?);
-        }
-        shaped.push((row, keys, *id));
-    }
-
-    if plan.distinct {
-        // Keep the first occurrence (insertion order) of each row shape.
-        let mut seen: std::collections::HashSet<Vec<Value>> = std::collections::HashSet::new();
-        let mut dup_ids_by_row: HashMap<Vec<Value>, Vec<TupleId>> = HashMap::new();
-        let mut unique = Vec::with_capacity(shaped.len());
-        for (row, keys, id) in shaped {
-            dup_ids_by_row.entry(row.clone()).or_default().push(id);
-            if seen.insert(row.clone()) {
-                unique.push((row, keys, id));
-            }
-        }
-        sort_shaped(&mut unique, plan);
-        if let Some(n) = plan.limit {
-            unique.truncate(n);
-        }
-        // Consume semantics: every source row that contributed to a
-        // returned distinct row is part of the answer's information and is
-        // consumed with it.
-        let mut ids = Vec::new();
-        for (row, _, _) in &unique {
-            ids.extend(dup_ids_by_row.remove(row).into_iter().flatten());
-        }
-        ids.sort_unstable();
-        let rows = unique.into_iter().map(|(row, _, _)| row).collect();
-        return Ok((rows, ids));
-    }
-
-    sort_shaped(&mut shaped, plan);
-    if let Some(n) = plan.limit {
-        shaped.truncate(n);
-    }
-    let ids = shaped.iter().map(|(_, _, id)| *id).collect();
-    let rows = shaped.into_iter().map(|(row, _, _)| row).collect();
-    Ok((rows, ids))
+    shape: Shape<'p>,
+    error: Option<FungusError>,
 }
 
-fn sort_shaped(shaped: &mut [(Vec<Value>, Vec<Value>, TupleId)], plan: &LogicalPlan) {
-    if plan.order_by.is_empty() {
-        return;
-    }
-    shaped.sort_by(|a, b| {
-        for (i, key) in plan.order_by.iter().enumerate() {
-            let ord = a.1[i].cmp_total(&b.1[i]);
-            let ord = if key.descending { ord.reverse() } else { ord };
-            if ord != Ordering::Equal {
-                return ord;
+/// A statement's shape, as it accumulates during the scan.
+enum Shape<'p> {
+    /// Scalar rows: each goes to the top `n` with its id, projected into
+    /// `row` and keyed into `keys` (buffers kept between rows).
+    Rows {
+        top: TopN<'p, TupleId, Vec<Value>>,
+        row: Vec<Value>,
+        keys: Vec<Value>,
+    },
+    /// `SELECT DISTINCT`: each row shape's first occurrence, in order,
+    /// and where to find it by shape.
+    Distinct {
+        firsts: Vec<FirstRow>,
+        by_row: HashMap<Vec<Value>, usize>,
+    },
+    /// Aggregate mode.
+    Groups(Groups<'p>),
+}
+
+/// The first occurrence of a `DISTINCT` row shape.
+struct FirstRow {
+    row: Vec<Value>,
+    keys: Vec<Value>,
+    /// Every tuple that produced this shape, in id order: a returned
+    /// distinct row consumes all of them.
+    ids: Vec<TupleId>,
+}
+
+impl<'p> Shape<'p> {
+    fn new(plan: &'p LogicalPlan) -> Self {
+        if plan.aggregate {
+            Shape::Groups(Groups::new(plan))
+        } else if plan.distinct {
+            Shape::Distinct {
+                firsts: Vec::new(),
+                by_row: HashMap::new(),
+            }
+        } else {
+            Shape::Rows {
+                top: TopN::new(&plan.order_by, plan.limit),
+                row: Vec::with_capacity(plan.outputs.len()),
+                keys: Vec::with_capacity(plan.order_by.len()),
             }
         }
-        // Stable tiebreak on insertion order.
-        a.2.cmp(&b.2)
-    });
+    }
+}
+
+impl Sink<'_> {
+    fn offer(&mut self, tuple: &Tuple) {
+        if self.error.is_none() {
+            if let Err(e) = self.fold(tuple) {
+                self.error = Some(e);
+            }
+        }
+    }
+
+    fn fold(&mut self, tuple: &Tuple) -> Result<()> {
+        let (plan, schema, now) = (self.plan, self.schema, self.now);
+        let project = |row: &mut Vec<Value>, keys: &mut Vec<Value>| -> Result<()> {
+            for out in &plan.outputs {
+                match &out.expr {
+                    PlannedExpr::Scalar(e) => row.push(e.eval(tuple, schema, now)?),
+                    _ => unreachable!("scalar mode has only scalar outputs"),
+                }
+            }
+            for key in &plan.order_by {
+                keys.push(key.expr.eval(tuple, schema, now)?);
+            }
+            Ok(())
+        };
+        match &mut self.shape {
+            Shape::Rows { top, row, keys } => {
+                row.clear();
+                keys.clear();
+                project(row, keys)?;
+                if top.admits(keys) {
+                    let row = std::mem::replace(row, Vec::with_capacity(plan.outputs.len()));
+                    let keys = std::mem::replace(keys, Vec::with_capacity(plan.order_by.len()));
+                    top.push(keys, tuple.meta.id, row);
+                }
+            }
+            Shape::Distinct { firsts, by_row } => {
+                let (mut row, mut keys) = (Vec::new(), Vec::new());
+                project(&mut row, &mut keys)?;
+                match by_row.get(&row) {
+                    Some(&i) => firsts[i].ids.push(tuple.meta.id),
+                    None => {
+                        by_row.insert(row.clone(), firsts.len());
+                        firsts.push(FirstRow {
+                            row,
+                            keys,
+                            ids: vec![tuple.meta.id],
+                        });
+                    }
+                }
+            }
+            Shape::Groups(groups) => groups.fold(tuple, schema, now)?,
+        }
+        Ok(())
+    }
+
+    /// The output rows and the ids they were drawn from.
+    fn finish(self) -> Result<(Vec<Vec<Value>>, Vec<TupleId>)> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        let plan = self.plan;
+        Ok(match self.shape {
+            Shape::Rows { top, .. } => {
+                let (ids, rows) = top.finish().into_iter().unzip();
+                (rows, ids)
+            }
+            Shape::Distinct { firsts, .. } => {
+                let mut top = TopN::new(&plan.order_by, plan.limit);
+                for first in firsts {
+                    if top.admits(&first.keys) {
+                        top.push(first.keys, first.ids[0], (first.row, first.ids));
+                    }
+                }
+                let (rows, ids): (Vec<_>, Vec<_>) =
+                    top.finish().into_iter().map(|(_, item)| item).unzip();
+                let mut ids: Vec<TupleId> = ids.into_iter().flatten().collect();
+                ids.sort_unstable();
+                (rows, ids)
+            }
+            Shape::Groups(groups) => groups.finish(self.now)?,
+        })
+    }
+}
+
+/// The one `ORDER BY … LIMIT` path.
+///
+/// Each item comes with sort keys and an arrival stamp `S`, and items
+/// arrive in stamp order: ids for scalar rows, the first id for
+/// `DISTINCT` rows, first appearance for groups. Equal keys keep that
+/// order. With a limit `n` at most `2·n` candidates are held: at `2·n` the
+/// best `n` are kept, and from then on an item enters only if it beats
+/// the worst of them. Without a limit everything is kept and sorted.
+struct TopN<'p, S, T> {
+    order: &'p [SortKey],
+    limit: Option<usize>,
+    kept: Vec<(Vec<Value>, S, T)>,
+    /// Sort keys of the worst item the last trim kept.
+    floor: Option<Vec<Value>>,
+}
+
+impl<'p, S: Ord, T> TopN<'p, S, T> {
+    fn new(order: &'p [SortKey], limit: Option<usize>) -> Self {
+        TopN {
+            order,
+            limit,
+            kept: Vec::new(),
+            floor: None,
+        }
+    }
+
+    /// Whether an item with sort keys `keys`, arriving now, can still be
+    /// among the returned ones. Ties lose: the kept item arrived first.
+    fn admits(&self, keys: &[Value]) -> bool {
+        self.limit != Some(0)
+            && self
+                .floor
+                .as_deref()
+                .is_none_or(|floor| cmp_keys(self.order, keys, floor) == Ordering::Less)
+    }
+
+    /// Adds an item [`admits`](Self::admits) let in.
+    fn push(&mut self, keys: Vec<Value>, stamp: S, item: T) {
+        self.kept.push((keys, stamp, item));
+        if let Some(n) = self
+            .limit
+            .filter(|&n| n > 0 && self.kept.len() >= n.saturating_mul(2))
+        {
+            let order = self.order;
+            self.kept
+                .select_nth_unstable_by(n - 1, |a, b| rank(order, a, b));
+            self.kept.truncate(n);
+            self.floor = Some(self.kept[n - 1].0.clone());
+        }
+    }
+
+    /// The returned items with their stamps, in output order.
+    fn finish(mut self) -> Vec<(S, T)> {
+        let order = self.order;
+        self.kept.sort_unstable_by(|a, b| rank(order, a, b));
+        self.kept.truncate(self.limit.unwrap_or(usize::MAX));
+        self.kept
+            .into_iter()
+            .map(|(_, stamp, item)| (stamp, item))
+            .collect()
+    }
+}
+
+/// Output order: sort keys, then arrival.
+fn rank<S: Ord, T>(order: &[SortKey], a: &(Vec<Value>, S, T), b: &(Vec<Value>, S, T)) -> Ordering {
+    cmp_keys(order, &a.0, &b.0).then_with(|| a.1.cmp(&b.1))
+}
+
+fn cmp_keys(order: &[SortKey], a: &[Value], b: &[Value]) -> Ordering {
+    for ((key, x), y) in order.iter().zip(a).zip(b) {
+        let ord = x.cmp_total(y);
+        let ord = if key.descending { ord.reverse() } else { ord };
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    Ordering::Equal
 }
 
 /// One aggregate accumulator.
@@ -556,157 +727,157 @@ impl Acc {
     }
 }
 
-/// Aggregate mode: group matched tuples, fold accumulators, emit one row
-/// per group (or exactly one row for the implicit global group), then sort
-/// against the *output* schema and limit.
-fn aggregate_rows<E: ReadExtent + ?Sized>(
-    plan: &LogicalPlan,
-    table: &E,
-    matched: &[TupleId],
-    schema: &Schema,
-    now: Tick,
-) -> Result<Vec<Vec<Value>>> {
-    let key_indices: Vec<usize> = plan
-        .group_by
-        .iter()
-        .map(|g| schema.index_of(g).expect("validated by planner"))
-        .collect();
+/// Aggregate mode's state during the scan.
+struct Groups<'p> {
+    plan: &'p LogicalPlan,
+    /// Each aggregate output's argument, in output order (`None` for the
+    /// `*` forms).
+    args: Vec<Option<&'p Expr>>,
+    /// The accumulators a new group starts with.
+    fresh: Vec<Acc>,
+    /// Group number by key. Unused without `GROUP BY`: the one implicit
+    /// group is group 0.
+    by_key: HashMap<Vec<Value>, usize>,
+    /// The current row's key, kept between rows so a lookup allocates
+    /// nothing.
+    key: Vec<Value>,
+    /// `(key, accumulators)` per group, in first-seen order.
+    groups: Vec<(Vec<Value>, Vec<Acc>)>,
+    /// Every match, in id order: the aggregate read them all.
+    ids: Vec<TupleId>,
+}
 
-    // Group id per key, in first-seen order for deterministic output.
-    let mut group_index: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut groups: Vec<(Vec<Value>, Vec<Acc>)> = Vec::new();
-
-    let make_accs = || -> Vec<Acc> {
-        plan.outputs
+impl<'p> Groups<'p> {
+    fn new(plan: &'p LogicalPlan) -> Self {
+        let (args, fresh) = plan
+            .outputs
             .iter()
             .filter_map(|o| match &o.expr {
-                PlannedExpr::Aggregate(f, _) => Some(Acc::new(*f)),
-                PlannedExpr::CountDistinct(_) => {
-                    Some(Acc::Distinct(std::collections::HashSet::new()))
+                PlannedExpr::Aggregate(f, arg) => Some((arg.as_ref(), Acc::new(*f))),
+                PlannedExpr::CountDistinct(arg) => {
+                    Some((Some(arg), Acc::Distinct(std::collections::HashSet::new())))
                 }
                 _ => None,
             })
-            .collect()
-    };
-
-    if plan.group_by.is_empty() {
-        // Implicit single group, present even with zero matches.
-        groups.push((Vec::new(), make_accs()));
-        group_index.insert(Vec::new(), 0);
+            .unzip();
+        let mut groups = Groups {
+            plan,
+            args,
+            fresh,
+            by_key: HashMap::new(),
+            key: Vec::with_capacity(plan.group_by.len()),
+            groups: Vec::new(),
+            ids: Vec::new(),
+        };
+        if plan.group_by.is_empty() {
+            // Implicit single group, present even with zero matches.
+            groups.groups.push((Vec::new(), groups.fresh.clone()));
+        }
+        groups
     }
 
-    for id in matched {
-        let tuple = table.peek(*id).expect("matched tuple is live");
-        let key: Vec<Value> = key_indices
-            .iter()
-            .map(|i| tuple.values[*i].clone())
-            .collect();
-        let gid = match group_index.get(&key) {
-            Some(g) => *g,
-            None => {
-                groups.push((key.clone(), make_accs()));
-                group_index.insert(key, groups.len() - 1);
-                groups.len() - 1
+    fn fold(&mut self, tuple: &Tuple, schema: &Schema, now: Tick) -> Result<()> {
+        self.ids.push(tuple.meta.id);
+        let gid = if self.plan.group_by.is_empty() {
+            0
+        } else {
+            let key = &mut self.key;
+            key.clear();
+            key.extend(
+                self.plan
+                    .group_by
+                    .iter()
+                    .map(|c| tuple.values[c.index].clone()),
+            );
+            match self.by_key.get(key.as_slice()) {
+                Some(&g) => g,
+                None => {
+                    self.groups.push((key.clone(), self.fresh.clone()));
+                    self.by_key.insert(key.clone(), self.groups.len() - 1);
+                    self.groups.len() - 1
+                }
             }
         };
         let freshness = tuple.meta.freshness.get();
-        let mut acc_i = 0;
-        for out in &plan.outputs {
-            match &out.expr {
-                PlannedExpr::Aggregate(_, arg) => {
-                    let value = match arg {
-                        Some(e) => Some(e.eval(tuple, schema, now)?),
-                        None => None,
-                    };
-                    groups[gid].1[acc_i].fold(value.as_ref(), freshness)?;
-                    acc_i += 1;
-                }
-                PlannedExpr::CountDistinct(arg) => {
-                    let value = arg.eval(tuple, schema, now)?;
-                    groups[gid].1[acc_i].fold(Some(&value), freshness)?;
-                    acc_i += 1;
-                }
-                _ => {}
-            }
+        for (acc, arg) in self.groups[gid].1.iter_mut().zip(&self.args) {
+            let value = arg.map(|e| e.eval(tuple, schema, now)).transpose()?;
+            acc.fold(value.as_ref(), freshness)?;
         }
+        Ok(())
     }
 
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(groups.len());
-    for (key, accs) in groups {
-        let mut accs = accs.into_iter();
-        let mut row = Vec::with_capacity(plan.outputs.len());
-        for out in &plan.outputs {
-            match &out.expr {
-                PlannedExpr::GroupKey(i) => row.push(key[*i].clone()),
-                PlannedExpr::Aggregate(..) | PlannedExpr::CountDistinct(_) => {
-                    row.push(accs.next().expect("acc per aggregate").finish())
+    /// One row per group, filtered by `HAVING`, then sorted against the
+    /// *output* schema and limited; plus every id the groups read.
+    fn finish(self, now: Tick) -> Result<(Vec<Vec<Value>>, Vec<TupleId>)> {
+        let plan = self.plan;
+        let mut rows: Vec<Vec<Value>> = Vec::with_capacity(self.groups.len());
+        for (key, accs) in self.groups {
+            let mut accs = accs.into_iter();
+            let mut row = Vec::with_capacity(plan.outputs.len());
+            for out in &plan.outputs {
+                match &out.expr {
+                    PlannedExpr::GroupKey(i) => row.push(key[*i].clone()),
+                    PlannedExpr::Aggregate(..) | PlannedExpr::CountDistinct(_) => {
+                        row.push(accs.next().expect("acc per aggregate").finish())
+                    }
+                    PlannedExpr::Scalar(_) => unreachable!("planner rejects these"),
                 }
-                PlannedExpr::Scalar(_) => unreachable!("planner rejects these"),
             }
+            rows.push(row);
         }
-        rows.push(row);
-    }
 
-    // HAVING and ORDER BY evaluate over the *output* row: build a
-    // synthetic schema so they can reference output names (incl. aliases).
-    let out_schema = if plan.having.is_some() || !plan.order_by.is_empty() {
-        Some(
-            Schema::new(
-                plan.outputs
-                    .iter()
-                    .map(|o| ColumnDef::nullable(o.name.clone(), DataType::Int))
-                    .collect(),
-            )
-            .map_err(|_| {
-                FungusError::PlanError(
-                    "HAVING/ORDER BY with aggregates requires unique output column names".into(),
+        // HAVING and ORDER BY evaluate over the *output* row: build a
+        // synthetic schema so they can reference output names (incl. aliases).
+        let out_schema = if plan.having.is_some() || !plan.order_by.is_empty() {
+            Some(
+                Schema::new(
+                    plan.outputs
+                        .iter()
+                        .map(|o| ColumnDef::nullable(o.name.clone(), DataType::Int))
+                        .collect(),
                 )
-            })?,
-        )
-    } else {
-        None
-    };
+                .map_err(|_| {
+                    FungusError::PlanError(
+                        "HAVING/ORDER BY with aggregates requires unique output column names"
+                            .into(),
+                    )
+                })?,
+            )
+        } else {
+            None
+        };
 
-    if let Some(having) = &plan.having {
-        let out_schema = out_schema.as_ref().expect("built above");
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
-            let synthetic = Tuple::new(TupleId(0), now, row.clone());
-            if having.eval_predicate(&synthetic, out_schema, now)? {
-                kept.push(row);
-            }
-        }
-        rows = kept;
-    }
-
-    if !plan.order_by.is_empty() {
-        let out_schema = out_schema.expect("built above");
-        let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(rows.len());
-        for row in rows {
-            let synthetic = Tuple::new(TupleId(0), now, row.clone());
-            let mut keys = Vec::with_capacity(plan.order_by.len());
-            for key in &plan.order_by {
-                keys.push(key.expr.eval(&synthetic, &out_schema, now)?);
-            }
-            keyed.push((row, keys));
-        }
-        keyed.sort_by(|a, b| {
-            for (i, key) in plan.order_by.iter().enumerate() {
-                let ord = a.1[i].cmp_total(&b.1[i]);
-                let ord = if key.descending { ord.reverse() } else { ord };
-                if ord != Ordering::Equal {
-                    return ord;
+        if let Some(having) = &plan.having {
+            let out_schema = out_schema.as_ref().expect("built above");
+            let mut kept = Vec::with_capacity(rows.len());
+            for row in rows {
+                let synthetic = Tuple::new(TupleId(0), now, row.clone());
+                if having.eval_predicate(&synthetic, out_schema, now)? {
+                    kept.push(row);
                 }
             }
-            Ordering::Equal
-        });
-        rows = keyed.into_iter().map(|(row, _)| row).collect();
-    }
+            rows = kept;
+        }
 
-    if let Some(n) = plan.limit {
-        rows.truncate(n);
+        let mut top = TopN::new(&plan.order_by, plan.limit);
+        for (i, row) in rows.into_iter().enumerate() {
+            let keys = match &out_schema {
+                Some(out_schema) if !plan.order_by.is_empty() => {
+                    let synthetic = Tuple::new(TupleId(0), now, row.clone());
+                    plan.order_by
+                        .iter()
+                        .map(|key| key.expr.eval(&synthetic, out_schema, now))
+                        .collect::<Result<Vec<_>>>()?
+                }
+                _ => Vec::new(),
+            };
+            if top.admits(&keys) {
+                top.push(keys, i, row);
+            }
+        }
+        let rows = top.finish().into_iter().map(|(_, row)| row).collect();
+        Ok((rows, self.ids))
     }
-    Ok(rows)
 }
 
 #[cfg(test)]
@@ -1053,7 +1224,8 @@ mod tests {
         let mut t = table();
         // Every sensor has 4 rows; sums are 18/22/26 for sensors 0/1/2.
         let r = run(
-            "SELECT sensor, SUM(v) AS total FROM s GROUP BY sensor              HAVING total > 20 ORDER BY total",
+            "SELECT sensor, SUM(v) AS total FROM s GROUP BY sensor \
+             HAVING total > 20 ORDER BY total",
             &mut t,
         );
         assert_eq!(r.len(), 2);
@@ -1106,7 +1278,8 @@ mod tests {
     fn case_expressions_project_and_filter() {
         let mut t = table();
         let r = run(
-            "SELECT sensor, CASE WHEN v < 4 THEN 'low' WHEN v < 8 THEN 'mid'              ELSE 'high' END AS band FROM s ORDER BY v LIMIT 12",
+            "SELECT sensor, CASE WHEN v < 4 THEN 'low' WHEN v < 8 THEN 'mid' \
+             ELSE 'high' END AS band FROM s ORDER BY v LIMIT 12",
             &mut t,
         );
         let bands: Vec<&str> = r.rows.iter().map(|row| row[1].as_str().unwrap()).collect();
@@ -1175,7 +1348,8 @@ mod tests {
         assert_eq!(r.scalar().unwrap(), &Value::Int(2));
         // Alias + HAVING over it.
         let r = run(
-            "SELECT sensor, COUNT(DISTINCT tag) AS tags FROM s GROUP BY sensor              HAVING tags > 1",
+            "SELECT sensor, COUNT(DISTINCT tag) AS tags FROM s GROUP BY sensor \
+             HAVING tags > 1",
             &mut t,
         );
         assert_eq!(r.len(), 3);
@@ -1197,6 +1371,68 @@ mod tests {
         assert_eq!(t.live_count(), 0);
         // Bad predicates error.
         assert!(execute_statement("DELETE FROM s WHERE zzz = 1", &mut t, Tick(0)).is_err());
+    }
+
+    #[test]
+    fn database_layer_statements_say_where_they_run() {
+        let mut t = table();
+        let err = execute_statement("CREATE CONTAINER c (a INT)", &mut t, Tick(0)).unwrap_err();
+        assert_eq!(
+            err,
+            FungusError::PlanError(
+                "CREATE CONTAINER `c` must run at the database layer \
+                 (Database::execute_ddl), not against a single table"
+                    .into()
+            )
+        );
+    }
+
+    #[test]
+    fn errors_do_not_depend_on_which_rows_make_the_top_n() {
+        let mut t = table(); // v = 0..12; only v = 11 makes LENGTH(sensor) run
+        let bad_row = "CASE WHEN v > 10 THEN LENGTH(sensor) ELSE 0 END";
+        for tail in ["ORDER BY v LIMIT 1", "ORDER BY v DESC LIMIT 0", "LIMIT 2"] {
+            let sql = format!("SELECT {bad_row} FROM s {tail}");
+            let err = execute_statement(&sql, &mut t, Tick(0)).unwrap_err();
+            assert!(err.to_string().contains("LENGTH"), "{sql}: {err}");
+        }
+        // A predicate error on the last row wins over a projection error on
+        // the first, as if the scan had finished before any row was shaped.
+        let sql = format!("SELECT ABS(tag) FROM s WHERE ({bad_row}) = 0");
+        let err = execute_statement(&sql, &mut t, Tick(0)).unwrap_err();
+        assert!(err.to_string().contains("LENGTH"), "{err}");
+        assert!(
+            t.iter_live().all(|x| x.meta.access_count == 0),
+            "nothing touched"
+        );
+    }
+
+    #[test]
+    fn top_n_breaks_ties_by_id_and_holds_at_most_twice_the_limit() {
+        let mut t = table(); // sensor = i % 3: four-way ties
+        let r = run("SELECT $id FROM s ORDER BY sensor DESC LIMIT 5", &mut t);
+        let ids: Vec<i64> = r.rows.iter().map(|row| row[0].as_i64().unwrap()).collect();
+        assert_eq!(ids, vec![2, 5, 8, 11, 1]);
+        let order = [SortKey {
+            expr: Expr::lit(0i64),
+            descending: false,
+        }];
+        let mut top = TopN::new(&order, Some(3));
+        for i in 0..100 {
+            let keys = vec![Value::Int(100 - i)];
+            if top.admits(&keys) {
+                top.push(keys, i, ());
+            }
+            assert!(top.kept.len() < 6);
+        }
+        assert_eq!(top.finish(), vec![(99, ()), (98, ()), (97, ())]);
+        // A limit past any row count keeps everything, in order.
+        let r = run(
+            "SELECT $id FROM s ORDER BY v DESC LIMIT 9223372036854775807",
+            &mut t,
+        );
+        assert_eq!(r.rows.len(), 12);
+        assert_eq!(r.rows[0][0], Value::Int(11));
     }
 
     #[test]

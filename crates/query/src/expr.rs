@@ -347,6 +347,22 @@ impl AggFunc {
     }
 }
 
+/// A column reference the planner resolved to its position in the schema
+/// it planned against. It renders as the name it was written as.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundColumn {
+    /// Position of the column in the row.
+    pub index: usize,
+    /// The column's name.
+    pub name: String,
+}
+
+impl fmt::Display for BoundColumn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.name)
+    }
+}
+
 /// An expression over one tuple.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -354,6 +370,9 @@ pub enum Expr {
     Literal(Value),
     /// An attribute column by name.
     Column(String),
+    /// An attribute column by position, as [`Expr::bind`] leaves it:
+    /// evaluation reads the value without looking the name up.
+    Bound(BoundColumn),
     /// A decay pseudo-column.
     Meta(MetaField),
     /// Arithmetic.
@@ -469,6 +488,11 @@ impl Expr {
                     .ok_or_else(|| FungusError::UnknownColumn(name.clone()))?;
                 Ok(tuple.values[idx].clone())
             }
+            Expr::Bound(c) => tuple
+                .values
+                .get(c.index)
+                .cloned()
+                .ok_or_else(|| FungusError::UnknownColumn(c.name.clone())),
             Expr::Meta(field) => Ok(field.eval(tuple, now)),
             Expr::Binary { left, op, right } => {
                 let l = left.eval(tuple, schema, now)?;
@@ -596,51 +620,70 @@ impl Expr {
         }
     }
 
-    /// Validates that every referenced column exists; returns the first
-    /// unknown name if any.
-    pub fn validate(&self, schema: &Schema) -> Result<()> {
-        match self {
-            Expr::Column(name) => schema
-                .index_of(name)
-                .map(|_| ())
-                .ok_or_else(|| FungusError::UnknownColumn(name.clone())),
-            Expr::Literal(_) | Expr::Meta(_) => Ok(()),
-            Expr::Binary { left, right, .. } | Expr::Compare { left, right, .. } => {
-                left.validate(schema)?;
-                right.validate(schema)
-            }
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                a.validate(schema)?;
-                b.validate(schema)
-            }
-            Expr::Not(e) | Expr::IsNull(e) | Expr::IsNotNull(e) | Expr::Neg(e) => {
-                e.validate(schema)
-            }
-            Expr::InList { expr, list } => {
-                expr.validate(schema)?;
-                list.iter().try_for_each(|e| e.validate(schema))
-            }
-            Expr::Between { expr, low, high } => {
-                expr.validate(schema)?;
-                low.validate(schema)?;
-                high.validate(schema)
-            }
-            Expr::Like { expr, .. } => expr.validate(schema),
+    /// Resolves every column reference against `schema` to its position
+    /// ([`Expr::Bound`]) and checks each function's argument count, in
+    /// evaluation order: the first unknown name fails with
+    /// [`FungusError::UnknownColumn`]. The result evaluates and renders
+    /// exactly as `self` does.
+    pub fn bind(&self, schema: &Schema) -> Result<Expr> {
+        let one = |e: &Expr| e.bind(schema).map(Box::new);
+        let all = |es: &[Expr]| {
+            es.iter()
+                .map(|e| e.bind(schema))
+                .collect::<Result<Vec<_>>>()
+        };
+        Ok(match self {
+            Expr::Column(name) => Expr::Bound(BoundColumn {
+                index: schema
+                    .index_of(name)
+                    .ok_or_else(|| FungusError::UnknownColumn(name.clone()))?,
+                name: name.clone(),
+            }),
+            Expr::Literal(_) | Expr::Meta(_) | Expr::Bound(_) => self.clone(),
+            Expr::Binary { left, op, right } => Expr::Binary {
+                left: one(left)?,
+                op: *op,
+                right: one(right)?,
+            },
+            Expr::Compare { left, op, right } => Expr::Compare {
+                left: one(left)?,
+                op: *op,
+                right: one(right)?,
+            },
+            Expr::And(a, b) => Expr::And(one(a)?, one(b)?),
+            Expr::Or(a, b) => Expr::Or(one(a)?, one(b)?),
+            Expr::Not(e) => Expr::Not(one(e)?),
+            Expr::IsNull(e) => Expr::IsNull(one(e)?),
+            Expr::IsNotNull(e) => Expr::IsNotNull(one(e)?),
+            Expr::Neg(e) => Expr::Neg(one(e)?),
+            Expr::InList { expr, list } => Expr::InList {
+                expr: one(expr)?,
+                list: all(list)?,
+            },
+            Expr::Between { expr, low, high } => Expr::Between {
+                expr: one(expr)?,
+                low: one(low)?,
+                high: one(high)?,
+            },
+            Expr::Like { expr, pattern } => Expr::Like {
+                expr: one(expr)?,
+                pattern: pattern.clone(),
+            },
             Expr::Call { func, args } => {
                 func.check_arity(args.len())?;
-                args.iter().try_for_each(|a| a.validate(schema))
-            }
-            Expr::Case { arms, otherwise } => {
-                for (c, r) in arms {
-                    c.validate(schema)?;
-                    r.validate(schema)?;
+                Expr::Call {
+                    func: *func,
+                    args: all(args)?,
                 }
-                if let Some(e) = otherwise {
-                    e.validate(schema)?;
-                }
-                Ok(())
             }
-        }
+            Expr::Case { arms, otherwise } => Expr::Case {
+                arms: arms
+                    .iter()
+                    .map(|(c, r)| Ok((c.bind(schema)?, r.bind(schema)?)))
+                    .collect::<Result<_>>()?,
+                otherwise: otherwise.as_deref().map(one).transpose()?,
+            },
+        })
     }
 }
 
@@ -707,6 +750,7 @@ impl fmt::Display for Expr {
         match self {
             Expr::Literal(v) => write!(f, "{v}"),
             Expr::Column(name) => write!(f, "{name}"),
+            Expr::Bound(c) => write!(f, "{c}"),
             Expr::Meta(m) => write!(f, "{}", m.name()),
             Expr::Binary { left, op, right } => write!(f, "({left} {op} {right})"),
             Expr::Compare { left, op, right } => write!(f, "({left} {op} {right})"),
@@ -979,12 +1023,12 @@ mod tests {
             .unwrap()
             .eval(&t, &sch, Tick(0))
             .is_err());
-        // Wrong arity is caught by validate (plan time) and eval.
+        // Wrong arity is caught by bind (plan time) and eval.
         let bad = Expr::Call {
             func: ScalarFunc::Abs,
             args: vec![],
         };
-        assert!(bad.validate(&sch).is_err());
+        assert!(bad.bind(&sch).is_err());
         assert!(bad.eval(&t, &sch, Tick(0)).is_err());
         // Unknown functions fail at parse time.
         assert!(parse_expr("BOGUS(1)").is_err());
@@ -1007,12 +1051,28 @@ mod tests {
     }
 
     #[test]
-    fn validate_finds_unknown_columns() {
+    fn bind_finds_unknown_columns() {
         let good = Expr::col("a").and(Expr::col("b").cmp(CmpOp::Gt, Expr::lit(0i64)));
-        assert!(good.validate(&schema()).is_ok());
+        assert!(good.bind(&schema()).is_ok());
         let bad = Expr::col("a").and(Expr::col("zzz").cmp(CmpOp::Gt, Expr::lit(0i64)));
-        assert!(
-            matches!(bad.validate(&schema()), Err(FungusError::UnknownColumn(n)) if n == "zzz")
+        assert!(matches!(bad.bind(&schema()), Err(FungusError::UnknownColumn(n)) if n == "zzz"));
+    }
+
+    #[test]
+    fn bound_expressions_evaluate_and_render_like_named_ones() {
+        use crate::parser::parse_expr;
+        let src = "CASE WHEN s LIKE 'he%' THEN a * 2 ELSE COALESCE(NULL, b) END";
+        let named = parse_expr(src).unwrap();
+        let bound = named.bind(&schema()).unwrap();
+        assert_ne!(bound, named);
+        assert_eq!(bound.to_string(), named.to_string());
+        assert_eq!(eval(&bound), eval(&named));
+        assert_eq!(eval(&bound), Value::Int(8));
+        // A bound tree no longer needs the schema it was bound against.
+        let empty = Schema::new(vec![]).unwrap();
+        assert_eq!(
+            bound.eval(&tuple(), &empty, Tick(0)).unwrap(),
+            Value::Int(8)
         );
     }
 

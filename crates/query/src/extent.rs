@@ -1,17 +1,19 @@
 //! The storage surface queries execute against.
 //!
 //! The executor does not know the extent's layout. [`ReadExtent`] is
-//! everything the read phases touch — the scan and point access for
-//! shaping — and is implemented by live extents and sealed snapshots
+//! everything the read phases touch — one scan that hands each match to
+//! the executor — and is implemented by live extents and sealed snapshots
 //! alike; [`QueryExtent`] adds the mutations (consume-deletes, touches,
 //! inserts, index DDL). `execute` therefore produces bit-identical answers
 //! on any layout that implements them faithfully.
 //!
 //! The contract that matters for determinism: [`scan`](ReadExtent::scan)
-//! must return matched ids in **global id (insertion) order**, exactly the
-//! ids a monolithic scan of the same logical extent would match. Diagnostic
-//! counters (`scanned`, pruned counts) may differ between layouts — they
-//! describe the work done, not the answer.
+//! hands its sink the matching tuples in **global id (insertion) order**,
+//! exactly the tuples a monolithic scan of the same logical extent would
+//! match, and evaluates the predicate on every tuple it examines even once
+//! the sink has all it will return. Diagnostic counters (`scanned`, pruned
+//! counts) may differ between layouts — they describe the work done, not
+//! the answer.
 
 use fungus_storage::{TableStore, TombstoneReason};
 use fungus_types::{Result, Schema, Tick, Tuple, TupleId, Value};
@@ -19,11 +21,9 @@ use fungus_types::{Result, Schema, Tick, Tuple, TupleId, Value};
 use crate::plan::LogicalPlan;
 use crate::prune::ColumnBound;
 
-/// What a scan did: the matched ids plus work/pruning diagnostics.
+/// The work a scan did and what pruning saved it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanOutcome {
-    /// Ids of tuples matching the plan's predicate, in global id order.
-    pub matched: Vec<TupleId>,
     /// Live tuples the scan examined.
     pub scanned: usize,
     /// Segments skipped by zone-map pruning.
@@ -39,9 +39,7 @@ pub struct ScanOutcome {
 ///
 /// A sealed copy-on-write snapshot of an extent implements this trait so
 /// the read phases can run against it lock-free while writers mutate the
-/// live version: [`scan`](ReadExtent::scan) returns matched ids in global
-/// id order, and [`peek`](ReadExtent::peek) resolves a matched id without
-/// mutating anything — so
+/// live version: [`scan`](ReadExtent::scan) mutates nothing, so
 /// [`execute_readonly`](crate::exec::execute_readonly) produces exactly
 /// the rows [`execute`](crate::exec::execute) produces against the same
 /// logical extent.
@@ -49,25 +47,63 @@ pub trait ReadExtent {
     /// The extent's schema.
     fn schema(&self) -> &Schema;
 
-    /// Phase-1 scan: every live tuple matching the plan's predicate, in
-    /// global id order.
-    fn scan(&self, plan: &LogicalPlan, now: Tick) -> Result<ScanOutcome>;
-
-    /// The live tuple with `id`.
-    fn peek(&self, id: TupleId) -> Option<&Tuple>;
+    /// Hands every live tuple matching the plan's predicate to `sink`, in
+    /// global id order. A predicate error stops the scan and is returned.
+    fn scan(
+        &self,
+        plan: &LogicalPlan,
+        now: Tick,
+        sink: &mut dyn FnMut(&Tuple),
+    ) -> Result<ScanOutcome>;
 }
 
+/// Scans one [`TableStore`]: a secondary index answers equality/range
+/// probes without touching the segments; everything else walks them with
+/// zone-map pruning. Each shard of an extent scans its store through
+/// this.
 impl ReadExtent for TableStore {
     fn schema(&self) -> &Schema {
         TableStore::schema(self)
     }
 
-    fn scan(&self, plan: &LogicalPlan, now: Tick) -> Result<ScanOutcome> {
-        scan_store(self, plan, now)
-    }
-
-    fn peek(&self, id: TupleId) -> Option<&Tuple> {
-        self.get(id)
+    fn scan(
+        &self,
+        plan: &LogicalPlan,
+        now: Tick,
+        sink: &mut dyn FnMut(&Tuple),
+    ) -> Result<ScanOutcome> {
+        let schema = self.schema();
+        let mut out = ScanOutcome::default();
+        let mut offer = |tuple: &Tuple| -> Result<()> {
+            out.scanned += 1;
+            let keep = match &plan.predicate {
+                Some(p) => p.eval_predicate(tuple, schema, now)?,
+                None => true,
+            };
+            if keep {
+                sink(tuple);
+            }
+            Ok(())
+        };
+        if let Some(candidates) = index_candidates(plan, self) {
+            for id in candidates {
+                if let Some(tuple) = self.get(id) {
+                    offer(tuple)?;
+                }
+            }
+            out.used_index = true;
+        } else {
+            for seg in self.segments() {
+                if !plan.pruning.is_trivial() && !plan.pruning.segment_may_match(seg) {
+                    out.pruned_segments += 1;
+                    continue;
+                }
+                for tuple in seg.iter_live() {
+                    offer(tuple)?;
+                }
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -76,13 +112,13 @@ pub trait QueryExtent: ReadExtent {
     /// Tombstones `id`, returning the removed tuple.
     fn delete(&mut self, id: TupleId, reason: TombstoneReason) -> Option<Tuple>;
 
-    /// Records a read access on `id` at `now`.
-    fn touch(&mut self, id: TupleId, now: Tick);
+    /// Records `reads` read accesses on `id`, the latest at `at`.
+    fn touch_by(&mut self, id: TupleId, at: Tick, reads: u32);
 
     /// Validates and appends a row at `now`.
     fn insert(&mut self, values: Vec<Value>, now: Tick) -> Result<TupleId>;
 
-    /// Ids of every live tuple, in id order (the `DELETE` scan).
+    /// Ids of every live tuple, in id order.
     fn live_ids(&self) -> Vec<TupleId>;
 
     /// Builds a secondary hash index on `column`.
@@ -97,8 +133,8 @@ impl QueryExtent for TableStore {
         TableStore::delete(self, id, reason)
     }
 
-    fn touch(&mut self, id: TupleId, now: Tick) {
-        TableStore::touch(self, id, now)
+    fn touch_by(&mut self, id: TupleId, at: Tick, reads: u32) {
+        TableStore::touch_by(self, id, at, reads)
     }
 
     fn insert(&mut self, values: Vec<Value>, now: Tick) -> Result<TupleId> {
@@ -116,47 +152,6 @@ impl QueryExtent for TableStore {
     fn create_ord_index(&mut self, column: &str) -> Result<()> {
         TableStore::create_ord_index(self, column)
     }
-}
-
-/// Scans one [`TableStore`]: a secondary index answers equality/range
-/// probes without touching the segments; everything else walks them with
-/// zone-map pruning. Each shard of an extent scans its store through
-/// this.
-pub fn scan_store(store: &TableStore, plan: &LogicalPlan, now: Tick) -> Result<ScanOutcome> {
-    let schema = store.schema();
-    let mut out = ScanOutcome::default();
-    if let Some(candidates) = index_candidates(plan, store) {
-        out.used_index = true;
-        for id in candidates {
-            let Some(tuple) = store.get(id) else { continue };
-            out.scanned += 1;
-            let keep = match &plan.predicate {
-                Some(p) => p.eval_predicate(tuple, schema, now)?,
-                None => true,
-            };
-            if keep {
-                out.matched.push(id);
-            }
-        }
-    } else {
-        for seg in store.segments() {
-            if !plan.pruning.is_trivial() && !plan.pruning.segment_may_match(seg) {
-                out.pruned_segments += 1;
-                continue;
-            }
-            for tuple in seg.iter_live() {
-                out.scanned += 1;
-                let keep = match &plan.predicate {
-                    Some(p) => p.eval_predicate(tuple, schema, now)?,
-                    None => true,
-                };
-                if keep {
-                    out.matched.push(tuple.meta.id);
-                }
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Finds the first conjunctive equality bound whose column carries a hash

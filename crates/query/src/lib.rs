@@ -29,9 +29,12 @@ pub mod parser;
 pub mod plan;
 pub mod prune;
 
-pub use exec::{execute, execute_parsed, execute_readonly, execute_statement, explain, ResultSet};
-pub use expr::{AggFunc, BinOp, CmpOp, Expr, MetaField, ScalarFunc};
-pub use extent::{scan_store, QueryExtent, ReadExtent, ScanOutcome};
+pub use exec::{
+    execute, execute_parsed, execute_readonly, execute_statement, explain, insert_literal_rows,
+    ResultSet,
+};
+pub use expr::{AggFunc, BinOp, BoundColumn, CmpOp, Expr, MetaField, ScalarFunc};
+pub use extent::{QueryExtent, ReadExtent, ScanOutcome};
 pub use parser::{
     parse_expr, parse_statement, CreateContainerStatement, DistillClause, ProjExpr, Projection,
     SelectStatement, ShardingClause, SortKey, Statement,

@@ -3,7 +3,9 @@
 //! The planner turns a parsed [`SelectStatement`] into a validated
 //! [`LogicalPlan`]:
 //!
-//! * resolves `*` against the schema and checks every column reference;
+//! * resolves `*` against the schema and binds every column reference the
+//!   scan evaluates — predicate, projections, aggregate arguments, scalar
+//!   sort keys, grouping columns — to its position, once per statement;
 //! * splits projections into scalar vs aggregate mode and enforces the
 //!   GROUP BY rules (scalar outputs must be grouping columns);
 //! * derives the [`PruningPredicate`] used for zone-map segment skipping;
@@ -11,7 +13,7 @@
 
 use fungus_types::{FungusError, Result, Schema};
 
-use crate::expr::{AggFunc, Expr};
+use crate::expr::{AggFunc, BoundColumn, Expr};
 use crate::parser::{ProjExpr, Projection, SelectStatement, SortKey};
 use crate::prune::PruningPredicate;
 
@@ -55,10 +57,10 @@ pub struct LogicalPlan {
     pub outputs: Vec<OutputColumn>,
     /// Aggregate mode? (true when any aggregate or GROUP BY appears).
     pub aggregate: bool,
-    /// Grouping expressions (column names) in aggregate mode.
-    pub group_by: Vec<String>,
-    /// Sort keys. In scalar mode they evaluate against source rows; in
-    /// aggregate mode against the output rows.
+    /// Grouping columns in aggregate mode.
+    pub group_by: Vec<BoundColumn>,
+    /// Sort keys. In scalar mode they are bound to source columns; in
+    /// aggregate mode they evaluate by name against the output rows.
     pub order_by: Vec<SortKey>,
     /// Row limit applied after sorting.
     pub limit: Option<usize>,
@@ -91,11 +93,12 @@ impl std::fmt::Display for LogicalPlan {
             if self.group_by.is_empty() {
                 writeln!(f, "Aggregate [{}]", outs.join(", "))?;
             } else {
+                let keys: Vec<&str> = self.group_by.iter().map(|g| g.name.as_str()).collect();
                 writeln!(
                     f,
                     "Aggregate [{}] group by [{}]",
                     outs.join(", "),
-                    self.group_by.join(", ")
+                    keys.join(", ")
                 )?;
             }
         } else {
@@ -123,9 +126,11 @@ pub struct Planner;
 impl Planner {
     /// Compiles and validates `stmt` against `schema`.
     pub fn plan(&self, stmt: &SelectStatement, schema: &Schema) -> Result<LogicalPlan> {
-        if let Some(p) = &stmt.predicate {
-            p.validate(schema)?;
-        }
+        let predicate = stmt
+            .predicate
+            .as_ref()
+            .map(|p| p.bind(schema))
+            .transpose()?;
 
         let aggregate = !stmt.group_by.is_empty()
             || stmt.projections.iter().any(|p| {
@@ -138,12 +143,19 @@ impl Planner {
                 )
             });
 
-        // Validate group-by columns exist.
-        for g in &stmt.group_by {
-            if schema.index_of(g).is_none() {
-                return Err(FungusError::UnknownColumn(g.clone()));
-            }
-        }
+        let group_by = stmt
+            .group_by
+            .iter()
+            .map(|g| {
+                let index = schema
+                    .index_of(g)
+                    .ok_or_else(|| FungusError::UnknownColumn(g.clone()))?;
+                Ok(BoundColumn {
+                    index,
+                    name: g.clone(),
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
 
         let mut outputs = Vec::new();
         for proj in &stmt.projections {
@@ -154,16 +166,19 @@ impl Planner {
                             "`*` cannot be mixed with aggregation".into(),
                         ));
                     }
-                    for col in schema.columns() {
+                    for (index, col) in schema.columns().iter().enumerate() {
                         outputs.push(OutputColumn {
                             name: col.name.clone(),
-                            expr: PlannedExpr::Scalar(Expr::col(&col.name)),
+                            expr: PlannedExpr::Scalar(Expr::Bound(BoundColumn {
+                                index,
+                                name: col.name.clone(),
+                            })),
                         });
                     }
                 }
                 Projection::Expr { expr, alias } => match expr {
                     ProjExpr::Scalar(e) => {
-                        e.validate(schema)?;
+                        let bound = e.bind(schema)?;
                         if aggregate {
                             // A scalar output must be a grouping column.
                             let Expr::Column(name) = e else {
@@ -183,31 +198,29 @@ impl Planner {
                         } else {
                             outputs.push(OutputColumn {
                                 name: alias.clone().unwrap_or_else(|| e.to_string()),
-                                expr: PlannedExpr::Scalar(e.clone()),
+                                expr: PlannedExpr::Scalar(bound),
                             });
                         }
                     }
                     ProjExpr::CountDistinct(arg) => {
-                        arg.validate(schema)?;
+                        let bound = arg.bind(schema)?;
                         let name = alias
                             .clone()
                             .unwrap_or_else(|| format!("COUNT(DISTINCT {arg})"));
                         outputs.push(OutputColumn {
                             name,
-                            expr: PlannedExpr::CountDistinct(arg.clone()),
+                            expr: PlannedExpr::CountDistinct(bound),
                         });
                     }
                     ProjExpr::Aggregate(func, arg) => {
-                        if let Some(a) = arg {
-                            a.validate(schema)?;
-                        }
+                        let bound = arg.as_ref().map(|a| a.bind(schema)).transpose()?;
                         let name = alias.clone().unwrap_or_else(|| match arg {
                             Some(a) => format!("{}({a})", func.name()),
                             None => format!("{}(*)", func.name()),
                         });
                         outputs.push(OutputColumn {
                             name,
-                            expr: PlannedExpr::Aggregate(*func, arg.clone()),
+                            expr: PlannedExpr::Aggregate(*func, bound),
                         });
                     }
                 },
@@ -218,14 +231,22 @@ impl Planner {
             return Err(FungusError::PlanError("empty projection list".into()));
         }
 
-        // Sort keys: scalar mode validates against the source schema;
-        // aggregate mode validates lazily against the output schema at
-        // execution time (output columns may be aliases).
-        if !aggregate {
-            for key in &stmt.order_by {
-                key.expr.validate(schema)?;
-            }
-        }
+        // Sort keys: scalar mode binds them to the source schema; aggregate
+        // mode resolves them by name against the output row at execution
+        // time (output columns may be aliases).
+        let order_by = if aggregate {
+            stmt.order_by.clone()
+        } else {
+            stmt.order_by
+                .iter()
+                .map(|k| {
+                    Ok(SortKey {
+                        expr: k.expr.bind(schema)?,
+                        descending: k.descending,
+                    })
+                })
+                .collect::<Result<Vec<_>>>()?
+        };
 
         if stmt.having.is_some() && !aggregate {
             return Err(FungusError::PlanError(
@@ -244,12 +265,12 @@ impl Planner {
             table: stmt.table.clone(),
             distinct: stmt.distinct,
             having: stmt.having.clone(),
-            predicate: stmt.predicate.clone(),
+            predicate,
             pruning,
             outputs,
             aggregate,
-            group_by: stmt.group_by.clone(),
-            order_by: stmt.order_by.clone(),
+            group_by,
+            order_by,
             limit: stmt.limit,
             consume: stmt.consume,
         })
@@ -347,7 +368,8 @@ mod tests {
     #[test]
     fn display_renders_the_plan_tree() {
         let p = plan(
-            "SELECT sensor, SUM(v) AS total FROM r WHERE v > 1              GROUP BY sensor HAVING total > 5 ORDER BY total DESC LIMIT 3",
+            "SELECT sensor, SUM(v) AS total FROM r WHERE v > 1 \
+             GROUP BY sensor HAVING total > 5 ORDER BY total DESC LIMIT 3",
         )
         .unwrap();
         let text = p.to_string();
@@ -361,6 +383,33 @@ mod tests {
         let text = p.to_string();
         assert!(text.contains("Distinct"), "{text}");
         assert!(text.contains("Scan r CONSUME"), "{text}");
+    }
+
+    #[test]
+    fn every_scanned_column_reference_is_bound() {
+        let p = plan("SELECT tag, v + 1 FROM r WHERE sensor = 2 ORDER BY v DESC").unwrap();
+        // `Expr::Column` debug-prints as `Column("name")`; a bound one does not.
+        let bound = |e: &Expr| !format!("{e:?}").contains("Column(");
+        assert!(bound(p.predicate.as_ref().unwrap()));
+        assert!(bound(&p.order_by[0].expr));
+        for out in &p.outputs {
+            let PlannedExpr::Scalar(e) = &out.expr else {
+                panic!("scalar mode")
+            };
+            assert!(bound(e), "{e:?}");
+        }
+        assert_eq!(
+            p.outputs[0].expr,
+            PlannedExpr::Scalar(Expr::col("tag").bind(&schema()).unwrap())
+        );
+        let p = plan("SELECT tag, AVG(v) FROM r GROUP BY tag ORDER BY tag").unwrap();
+        assert_eq!(
+            (p.group_by[0].index, p.group_by[0].name.as_str()),
+            (2, "tag")
+        );
+        assert!(matches!(&p.outputs[1].expr, PlannedExpr::Aggregate(_, Some(e)) if bound(e)));
+        // Aggregate sort keys name output columns, so they stay unbound.
+        assert_eq!(p.order_by[0].expr, Expr::col("tag"));
     }
 
     #[test]

@@ -32,10 +32,11 @@
 //!   since the last pass), and a shard whose live tuples are all rotten
 //!   is **dropped in O(1)** — detached whole, one id-range gap recorded —
 //!   instead of tuple-by-tuple tombstoning and later compaction.
-//! - Fan-out (scans, candidate gathers, rot detection) runs on a
-//!   work-stealing [`ShardPool`]; results are merged slot-indexed so
-//!   scheduling never perturbs determinism. With one worker everything
-//!   runs inline.
+//! - Fan-out (candidate gathers, rot detection) runs on a work-stealing
+//!   [`ShardPool`]; results are merged slot-indexed so scheduling never
+//!   perturbs determinism. With one worker everything runs inline. A query
+//!   scan visits the shards serially instead: it feeds one sink that folds
+//!   matches in id order, so there is nothing for a worker to do alone.
 //!
 //! Diagnostic counters (`scanned`, pruned counts, census run shapes) may
 //! differ from the monolithic layout; answers, eviction sets, and decay
@@ -47,7 +48,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use fungus_clock::DeterministicRng;
-use fungus_query::{scan_store, LogicalPlan, QueryExtent, ReadExtent, ScanOutcome};
+use fungus_query::{LogicalPlan, QueryExtent, ReadExtent, ScanOutcome};
 use fungus_storage::{
     CompactionReport, DecaySurface, FreshnessHistogram, Slot, SpotCensus, StorageConfig,
     TableStats, TableStore, TombstoneReason,
@@ -57,7 +58,7 @@ use fungus_types::{Freshness, Result, Schema, Tick, Tuple, TupleId, TupleMeta, V
 use crate::config::ShardSpec;
 use crate::pool::ShardPool;
 use crate::shard::Shard;
-use crate::snapshot::{ExtentSnapshot, SnapshotShard};
+use crate::snapshot::{scan_shards, ExtentSnapshot, SnapshotShard};
 
 /// The id range `[base, end)` of a shard that was dropped whole.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,16 +202,6 @@ pub struct ShardLayoutManifest {
     pub ord_indexed: Vec<String>,
     /// One record per resident shard, in id order.
     pub shards: Vec<ShardManifest>,
-}
-
-/// Per-shard outcome of one scan fan-out task.
-enum ShardScan {
-    /// Nothing live in the shard.
-    Empty,
-    /// Skipped whole by the shard summary.
-    Pruned,
-    /// Scanned (possibly via an index / with segment pruning).
-    Done(ScanOutcome),
 }
 
 /// A container extent split into time-range shards.
@@ -1291,38 +1282,14 @@ impl ReadExtent for ShardedExtent {
         &self.schema
     }
 
-    fn scan(&self, plan: &LogicalPlan, now: Tick) -> Result<ScanOutcome> {
-        let per: Vec<Result<ShardScan>> = self.pool.run(self.shards.len(), |i| {
-            let sh = &self.shards[i];
-            if sh.store().live_count() == 0 {
-                return Ok(ShardScan::Empty);
-            }
-            if !plan.pruning.shard_may_match(&sh.ranges(), now) {
-                return Ok(ShardScan::Pruned);
-            }
-            scan_store(sh.store(), plan, now).map(ShardScan::Done)
-        });
-        let mut out = ScanOutcome::default();
-        for result in per {
-            match result? {
-                ShardScan::Empty => {}
-                ShardScan::Pruned => out.pruned_shards += 1,
-                ShardScan::Done(s) => {
-                    out.matched.extend(s.matched);
-                    out.scanned += s.scanned;
-                    out.pruned_segments += s.pruned_segments;
-                    out.used_index |= s.used_index;
-                }
-            }
-        }
-        self.shards_pruned
-            .fetch_add(out.pruned_shards as u64, Ordering::Relaxed);
-        Ok(out)
-    }
-
-    fn peek(&self, id: TupleId) -> Option<&Tuple> {
-        let i = self.locate(id)?;
-        self.shards[i].store().get(id)
+    fn scan(
+        &self,
+        plan: &LogicalPlan,
+        now: Tick,
+        sink: &mut dyn FnMut(&Tuple),
+    ) -> Result<ScanOutcome> {
+        let shards = self.shards.iter().map(|sh| (sh.store(), sh.ranges()));
+        scan_shards(shards, plan, now, sink, &self.shards_pruned)
     }
 }
 
@@ -1331,9 +1298,9 @@ impl QueryExtent for ShardedExtent {
         self.locate_mut(id)?.store_mut().delete(id, reason)
     }
 
-    fn touch(&mut self, id: TupleId, now: Tick) {
+    fn touch_by(&mut self, id: TupleId, at: Tick, reads: u32) {
         if let Some(sh) = self.locate_mut(id) {
-            sh.store_mut().touch(id, now);
+            sh.store_mut().touch_by(id, at, reads);
         }
     }
 
@@ -1571,11 +1538,17 @@ mod tests {
         assert_eq!(mono.evicted_consumed(), ext.evicted_consumed());
         assert_eq!(mono.rotted_unread(), ext.rotted_unread());
         assert_eq!(mono.infected_ids(), ext.infected_ids());
+        let live_of = |ext: &ShardedExtent| {
+            let mut live = Vec::new();
+            ext.for_each_shard_store(|_, store| {
+                live.extend(store.iter_live().cloned());
+                Ok(())
+            })
+            .unwrap();
+            live
+        };
         let mono_live: Vec<Tuple> = mono.iter_live().cloned().collect();
-        let mut ext_live = Vec::new();
-        for id in ext.live_ids() {
-            ext_live.push(ReadExtent::peek(&ext, id).unwrap().clone());
-        }
+        let ext_live = live_of(&ext);
         assert_eq!(mono_live, ext_live);
 
         let back =
@@ -1585,11 +1558,7 @@ mod tests {
         assert_eq!(back.evicted_rotted(), ext.evicted_rotted());
         assert_eq!(back.infected_ids(), ext.infected_ids());
         assert_eq!(back.total_inserted(), ext.total_inserted());
-        let mut back_live = Vec::new();
-        for id in back.live_ids() {
-            back_live.push(ReadExtent::peek(&back, id).unwrap().clone());
-        }
-        assert_eq!(back_live, ext_live);
+        assert_eq!(live_of(&back), ext_live);
     }
 
     /// Drives one EGI fungus over an extent: bulk load, then tick + evict

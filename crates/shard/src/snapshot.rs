@@ -18,8 +18,8 @@
 //! [`Shard::snapshot_store`]: crate::Shard::snapshot_store
 //!
 //! Determinism carries over unchanged: the snapshot's shards are visited
-//! in id order and each scan is the same [`scan_store`] the live extent
-//! runs, so a snapshot scan returns exactly the ids a locked scan of the
+//! in id order through the same shard walk the live extent runs, so a
+//! snapshot scan hands its sink exactly the tuples a locked scan of the
 //! same logical state would. Whole-shard pruning uses the summary captured
 //! at publish time (exactly the live summary of that moment), and pruned
 //! shards feed the *shared* `shards_pruned` counter — snapshot reads and
@@ -30,9 +30,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fungus_query::{scan_store, LogicalPlan, MetaRanges, ReadExtent, ScanOutcome};
+use fungus_query::{LogicalPlan, MetaRanges, ReadExtent, ScanOutcome};
 use fungus_storage::TableStore;
-use fungus_types::{Result, Schema, Tick, Tuple, TupleId};
+use fungus_types::{Result, Schema, Tick, Tuple};
 
 /// One shard's sealed state inside an [`ExtentSnapshot`].
 #[derive(Debug, Clone)]
@@ -60,6 +60,9 @@ pub struct ExtentSnapshot {
     /// The owning extent's cumulative pruning gauge, shared so snapshot
     /// scans and locked scans count into the same diagnostic.
     pruned: Arc<AtomicU64>,
+    /// Live tuples across the shards, counted once at publish: every read
+    /// asks for it to bound the deferred-touch queue.
+    live: usize,
 }
 
 impl ExtentSnapshot {
@@ -69,6 +72,7 @@ impl ExtentSnapshot {
         debug_assert!(shards.windows(2).all(|w| w[0].end <= w[1].base));
         ExtentSnapshot {
             schema,
+            live: shards.iter().map(|s| s.store.live_count()).sum(),
             shards,
             pruned,
         }
@@ -76,7 +80,7 @@ impl ExtentSnapshot {
 
     /// Live tuples across the snapshot's shards.
     pub fn live_count(&self) -> usize {
-        self.shards.iter().map(|s| s.store.live_count()).sum()
+        self.live
     }
 
     /// Number of shards captured at publish time.
@@ -88,13 +92,6 @@ impl ExtentSnapshot {
     pub fn shards(&self) -> &[SnapshotShard] {
         &self.shards
     }
-
-    /// The snapshot shard covering `id`, if any.
-    fn locate(&self, id: TupleId) -> Option<&SnapshotShard> {
-        let idx = self.shards.partition_point(|s| s.end <= id.get());
-        let sh = self.shards.get(idx)?;
-        (sh.base <= id.get()).then_some(sh)
-    }
 }
 
 impl ReadExtent for ExtentSnapshot {
@@ -102,30 +99,45 @@ impl ReadExtent for ExtentSnapshot {
         &self.schema
     }
 
-    fn scan(&self, plan: &LogicalPlan, now: Tick) -> Result<ScanOutcome> {
-        let mut out = ScanOutcome::default();
-        for sh in &self.shards {
-            if sh.store.live_count() == 0 {
-                continue;
-            }
-            if !plan.pruning.shard_may_match(&sh.ranges, now) {
-                out.pruned_shards += 1;
-                continue;
-            }
-            let s = scan_store(&sh.store, plan, now)?;
-            out.matched.extend(s.matched);
-            out.scanned += s.scanned;
-            out.pruned_segments += s.pruned_segments;
-            out.used_index |= s.used_index;
-        }
-        self.pruned
-            .fetch_add(out.pruned_shards as u64, Ordering::Relaxed);
-        Ok(out)
+    fn scan(
+        &self,
+        plan: &LogicalPlan,
+        now: Tick,
+        sink: &mut dyn FnMut(&Tuple),
+    ) -> Result<ScanOutcome> {
+        let shards = self.shards.iter().map(|sh| (&*sh.store, sh.ranges));
+        scan_shards(shards, plan, now, sink, &self.pruned)
     }
+}
 
-    fn peek(&self, id: TupleId) -> Option<&Tuple> {
-        self.locate(id)?.store.get(id)
+/// Scans shards, given in id order with their summaries, into `sink`:
+/// an empty shard is skipped, one its summary rules out is counted pruned
+/// (into `pruned` as well), and every other shard scans its store. Live
+/// extents and their snapshots both scan through here, so one order of
+/// visits and one set of counters serves both.
+pub(crate) fn scan_shards<'a>(
+    shards: impl Iterator<Item = (&'a TableStore, MetaRanges)>,
+    plan: &LogicalPlan,
+    now: Tick,
+    sink: &mut dyn FnMut(&Tuple),
+    pruned: &AtomicU64,
+) -> Result<ScanOutcome> {
+    let mut out = ScanOutcome::default();
+    for (store, ranges) in shards {
+        if store.live_count() == 0 {
+            continue;
+        }
+        if !plan.pruning.shard_may_match(&ranges, now) {
+            out.pruned_shards += 1;
+            continue;
+        }
+        let s = store.scan(plan, now, sink)?;
+        out.scanned += s.scanned;
+        out.pruned_segments += s.pruned_segments;
+        out.used_index |= s.used_index;
     }
+    pruned.fetch_add(out.pruned_shards as u64, Ordering::Relaxed);
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -135,7 +147,7 @@ mod tests {
     use fungus_clock::DeterministicRng;
     use fungus_query::QueryExtent;
     use fungus_storage::StorageConfig;
-    use fungus_types::{DataType, Value};
+    use fungus_types::{DataType, TupleId, Value};
 
     #[test]
     fn monolithic_snapshot_answers_point_reads() {
@@ -153,11 +165,12 @@ mod tests {
         let snap = ext.publish_snapshot();
         assert_eq!(snap.shard_count(), 1);
         assert_eq!(snap.live_count(), 5);
+        let store = &snap.shards()[0].store;
         assert_eq!(
-            snap.peek(TupleId(3)).unwrap().values[0],
+            store.get(TupleId(3)).unwrap().values[0],
             Value::Int(3),
             "point read resolves through the single shard"
         );
-        assert!(snap.peek(TupleId(5)).is_none());
+        assert!(store.get(TupleId(5)).is_none());
     }
 }

@@ -270,8 +270,13 @@ impl TableStore {
 
     /// Records a read access on `id` at time `now`.
     pub fn touch(&mut self, id: TupleId, now: Tick) {
+        self.touch_by(id, now, 1);
+    }
+
+    /// Records `reads` read accesses on `id` at once, the latest at `at`.
+    pub fn touch_by(&mut self, id: TupleId, at: Tick, reads: u32) {
         if let Some(t) = self.get_mut(id) {
-            t.meta.touch(now);
+            t.meta.touch_by(at, reads);
         }
     }
 

@@ -78,8 +78,15 @@ impl TupleMeta {
 
     /// Records a read access.
     pub fn touch(&mut self, now: Tick) {
-        self.last_access = Some(now);
-        self.access_count = self.access_count.saturating_add(1);
+        self.touch_by(now, 1);
+    }
+
+    /// Records `reads` read accesses at once, the latest at `at`.
+    /// `last_access` keeps the latest tick ever recorded, so accesses
+    /// recorded out of tick order land as if recorded in order.
+    pub fn touch_by(&mut self, at: Tick, reads: u32) {
+        self.last_access = Some(self.last_access.map_or(at, |last| last.max(at)));
+        self.access_count = self.access_count.saturating_add(reads);
     }
 
     /// True if the tuple was never read by any query. Rotten-and-unread
@@ -176,6 +183,16 @@ mod tests {
         assert_eq!(m.access_count, 2);
         assert_eq!(m.last_access, Some(Tick(7)));
         assert!(!m.never_read());
+        m.touch_by(Tick(9), 3);
+        assert_eq!((m.access_count, m.last_access), (5, Some(Tick(9))));
+        m.touch(Tick(8));
+        assert_eq!((m.access_count, m.last_access), (6, Some(Tick(9))));
+        m.touch_by(Tick(10), u32::MAX);
+        assert_eq!(
+            m.access_count,
+            u32::MAX,
+            "saturates like one touch at a time"
+        );
     }
 
     #[test]

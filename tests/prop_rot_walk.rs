@@ -211,7 +211,7 @@ fn run<L: Layout>(mut ext: L, spec: &FungusSpec, ops: &[Op], walk: bool) -> Vec<
             Op::Touch(at) => {
                 let ids = ext.live_ids();
                 if !ids.is_empty() {
-                    ext.touch(ids[*at as usize % ids.len()], now);
+                    ext.touch_by(ids[*at as usize % ids.len()], now, 1);
                 }
             }
             Op::Tick(by) => {
