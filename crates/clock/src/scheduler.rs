@@ -17,9 +17,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use fungus_lint_rt::{hierarchy, OrderedMutex};
 
 use fungus_types::{Tick, TickDelta};
@@ -159,6 +159,13 @@ impl TickScheduler {
     /// of wall time until the returned handle is dropped or stopped. This
     /// binds the paper's "T seconds" to wall time for live deployments.
     ///
+    /// Tick *k* is due at `start + k·real_period`, however long the tasks
+    /// take: a driver that falls behind runs the next tick at once,
+    /// checking for a stop request between ticks, so slow ticks delay
+    /// decay but never slow its rate. A tick that starts after the
+    /// *following* tick's deadline is counted behind
+    /// [`DriverHandle::late_ticks`].
+    ///
     /// The driver is the maintenance heartbeat of the whole system — Law 1
     /// says decay proceeds no matter what clients do — so it must not die
     /// with whatever code it calls into: each task action runs inside
@@ -173,28 +180,28 @@ impl TickScheduler {
         let inner = Arc::clone(&self.inner);
         let ticks = Arc::new(AtomicU64::new(0));
         let panics = Arc::new(AtomicU64::new(0));
+        let late = Arc::new(AtomicU64::new(0));
         let tick_count = Arc::clone(&ticks);
         let panic_count = Arc::clone(&panics);
+        let late_count = Arc::clone(&late);
         let join = std::thread::Builder::new()
             .name("fungus-decay-driver".into())
-            .spawn(move || loop {
-                if stop_rx.recv_timeout(real_period).is_ok() {
-                    return;
-                }
-                let now = clock.tick();
-                let mut inner = inner.lock();
-                for reg in inner.tasks.iter_mut() {
-                    if now.get().is_multiple_of(reg.task.period.get()) {
-                        let action = std::panic::AssertUnwindSafe(|| (reg.task.action)(now));
-                        if std::panic::catch_unwind(action).is_err() {
-                            // Release: a thread that observes the count
-                            // also observes the tick that produced it.
-                            panic_count.fetch_add(1, Ordering::Release);
-                        }
+            .spawn(move || {
+                let mut deadline = Instant::now();
+                loop {
+                    deadline += real_period;
+                    let wait = deadline.saturating_duration_since(Instant::now());
+                    // A zero wait still sees a pending stop request.
+                    match stop_rx.recv_timeout(wait) {
+                        Err(RecvTimeoutError::Timeout) => {}
+                        Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
                     }
+                    if Instant::now() > deadline + real_period {
+                        late_count.fetch_add(1, Ordering::Release);
+                    }
+                    drive_tick(&clock, &inner, &panic_count);
+                    tick_count.fetch_add(1, Ordering::Release);
                 }
-                drop(inner);
-                tick_count.fetch_add(1, Ordering::Release);
             })
             .expect("spawn decay driver thread");
         DriverHandle {
@@ -202,6 +209,24 @@ impl TickScheduler {
             join: Some(join),
             ticks,
             panics,
+            late,
+        }
+    }
+}
+
+/// One driver tick: advances the clock and fires every task due at the
+/// new time, isolating (and counting) task panics.
+fn drive_tick(clock: &VirtualClock, inner: &OrderedMutex<Inner>, panic_count: &AtomicU64) {
+    let now = clock.tick();
+    let mut inner = inner.lock();
+    for reg in inner.tasks.iter_mut() {
+        if now.get().is_multiple_of(reg.task.period.get()) {
+            let action = std::panic::AssertUnwindSafe(|| (reg.task.action)(now));
+            if std::panic::catch_unwind(action).is_err() {
+                // Release: a thread that observes the count also observes
+                // the tick that produced it.
+                panic_count.fetch_add(1, Ordering::Release);
+            }
         }
     }
 }
@@ -212,6 +237,7 @@ pub struct DriverHandle {
     join: Option<JoinHandle<()>>,
     ticks: Arc<AtomicU64>,
     panics: Arc<AtomicU64>,
+    late: Arc<AtomicU64>,
 }
 
 impl DriverHandle {
@@ -230,6 +256,12 @@ impl DriverHandle {
     /// Task actions that panicked and were isolated (tick still completed).
     pub fn task_panics(&self) -> u64 {
         self.panics.load(Ordering::Acquire)
+    }
+
+    /// Ticks that started after the following tick was already due: the
+    /// driver was more than a whole period behind its schedule.
+    pub fn late_ticks(&self) -> u64 {
+        self.late.load(Ordering::Acquire)
     }
 
     /// Stops the driver and waits for the thread to exit.
@@ -369,6 +401,48 @@ mod tests {
         // The healthy task kept firing on every tick despite its
         // neighbour blowing up on odd ticks.
         assert!(healthy.load(Ordering::Relaxed) >= 6);
+    }
+
+    #[test]
+    fn driver_keeps_its_rate_when_ticks_take_most_of_a_period() {
+        // 7 ms of work in a 10 ms period: a driver that waits a whole
+        // period after each tick's work would manage only 10/17 of the
+        // scheduled ticks.
+        let sched = TickScheduler::new(VirtualClock::new());
+        sched.every("slow", TickDelta(1), |_| {
+            std::thread::sleep(Duration::from_millis(7));
+        });
+        let period = Duration::from_millis(10);
+        let started = std::time::Instant::now();
+        let driver = sched.spawn_driver(period);
+        std::thread::sleep(Duration::from_millis(400));
+        let elapsed = started.elapsed();
+        let ticks = driver.ticks();
+        driver.stop();
+        let scheduled = elapsed.as_secs_f64() / period.as_secs_f64();
+        assert!(
+            ticks as f64 >= 0.8 * scheduled,
+            "{ticks} ticks in {elapsed:?}, {scheduled:.1} scheduled"
+        );
+    }
+
+    #[test]
+    fn ticks_longer_than_two_periods_are_counted_late() {
+        // Every tick after the first starts past the next tick's deadline.
+        let sched = TickScheduler::new(VirtualClock::new());
+        sched.every("slower", TickDelta(1), |_| {
+            std::thread::sleep(Duration::from_millis(5));
+        });
+        let driver = sched.spawn_driver(Duration::from_millis(2));
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while driver.ticks() < 6 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let ticks = driver.ticks();
+        let late = driver.late_ticks();
+        driver.stop();
+        assert!(ticks >= 6, "driver ticked {ticks} times");
+        assert!(late + 1 >= ticks, "{late} late of {ticks} ticks");
     }
 
     #[test]

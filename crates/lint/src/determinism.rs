@@ -5,8 +5,7 @@
 //! OS entropy source. This pass enforces two rules over non-test code:
 //!
 //! 1. **No ambient time or entropy** outside the allowlisted crates
-//!    (`crates/clock` owns the virtual-time boundary, `crates/bench`
-//!    measures wall time on purpose): `SystemTime::now`,
+//!    (`crates/clock` owns the virtual-time boundary): `SystemTime::now`,
 //!    `Instant::now`, `thread_rng`, `from_entropy`.
 //! 2. **No HashMap/HashSet iteration in order-sensitive modules**: in
 //!    files under the configured `ordered_modules` paths, identifiers
@@ -194,7 +193,7 @@ mod tests {
 
     fn check(rel: &str, src: &str) -> Vec<Finding> {
         let cfg = Config::from_str(
-            "[determinism]\nallow_paths = [\"crates/bench\"]\nordered_modules = [\"crates/core\"]\n",
+            "[determinism]\nallow_paths = [\"crates/clock\"]\nordered_modules = [\"crates/core\"]\n",
         )
         .unwrap();
         let file = SourceFile::from_source(rel.into(), src.into());
@@ -215,7 +214,7 @@ mod tests {
     #[test]
     fn allowlisted_paths_and_tests_pass() {
         let src = "fn f() { let t = Instant::now(); }";
-        assert!(check("crates/bench/src/x.rs", src).is_empty());
+        assert!(check("crates/clock/src/x.rs", src).is_empty());
         let test_src = "#[cfg(test)]\nmod tests { fn f() { let t = Instant::now(); } }";
         assert!(check("crates/server/src/x.rs", test_src).is_empty());
     }

@@ -6,6 +6,10 @@
 //! reference lives in `fungus-shard`'s unit tests and in `prop_rot_walk`;
 //! here the never-sealing shard is the container-level oracle.)
 //!
+//! Most layouts run their shard fan-out inline on one worker; two run it
+//! on a multi-worker sweep pool, so the threaded path is held to the same
+//! contract.
+//!
 //! This is the contract that makes sharding a pure layout decision: EGI's
 //! seed draws stay on the container's single RNG stream over the globally
 //! id-ordered candidate list, spread is resolved along the global time
@@ -149,8 +153,8 @@ fn run_workload(ops: &[Op], seed: u64, fungus: &FungusSpec, spec: ShardSpec) -> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Default (one never-sealing shard), fixed 1/4/16-shard, and adaptive
-    /// layouts all observe identical histories. The adaptive specs put the lifecycle on the
+    /// Default (one never-sealing shard), fixed 1/4/16-shard, adaptive,
+    /// and multi-worker layouts all observe identical histories. The adaptive specs put the lifecycle on the
     /// hot path: small shards with a high low-water mark so bursty insert
     /// runs split the tail and rot-hollowed neighbors merge mid-history —
     /// and none of it may move a single answer or eviction.
@@ -182,6 +186,23 @@ proptest! {
                 &mono, &adaptive,
                 "adaptive layout (rows {}, low water {}) diverged from monolithic",
                 rows_per_shard, low_water
+            );
+        }
+        // The sweep pool on real threads: with more than one shard and
+        // more than one worker, eviction sweeps and freshness passes fan
+        // out across spawned workers, which must not move anything either.
+        let rows_per_shard = (inserts / 16).max(1);
+        for spec in [
+            ShardSpec::new(rows_per_shard).with_workers(2),
+            ShardSpec::new(rows_per_shard * 4)
+                .with_workers(3)
+                .with_adaptive()
+                .with_low_water(0.6),
+        ] {
+            let pooled = run_workload(&ops, seed, &fungus, spec);
+            prop_assert_eq!(
+                &mono, &pooled,
+                "pooled layout {:?} diverged from monolithic", spec
             );
         }
     }
