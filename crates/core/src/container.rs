@@ -47,8 +47,8 @@ impl Container {
         policy: ContainerPolicy,
         rng: &DeterministicRng,
     ) -> Result<Self> {
-        Self::assemble(name.into(), policy, rng, |policy, rng| {
-            ShardedExtent::new(schema, policy.storage.clone(), policy.sharding, rng)
+        Self::assemble(name.into(), policy, rng, |policy| {
+            ShardedExtent::new(schema, policy.storage.clone(), policy.sharding)
         })
     }
 
@@ -62,8 +62,8 @@ impl Container {
         policy: ContainerPolicy,
         rng: &DeterministicRng,
     ) -> Result<Self> {
-        Self::assemble(name.into(), policy, rng, |policy, rng| {
-            ShardedExtent::from_monolithic(&store, policy.sharding, rng)
+        Self::assemble(name.into(), policy, rng, |policy| {
+            ShardedExtent::from_monolithic(&store, policy.sharding)
         })
     }
 
@@ -80,23 +80,24 @@ impl Container {
         policy: ContainerPolicy,
         rng: &DeterministicRng,
     ) -> Result<Self> {
-        Self::assemble(name.into(), policy, rng, |policy, rng| {
-            ShardedExtent::from_manifest(policy.storage.clone(), manifest, stores, rng)
+        Self::assemble(name.into(), policy, rng, |policy| {
+            ShardedExtent::from_manifest(policy.storage.clone(), manifest, stores)
         })
     }
 
     /// The one constructor body: validates the policy, derives the
-    /// per-container RNG, and builds fungus, extent and distiller from it.
+    /// per-container RNG, seeds fungus and distiller from it, and builds
+    /// the extent.
     fn assemble(
         name: String,
         policy: ContainerPolicy,
         rng: &DeterministicRng,
-        extent: impl FnOnce(&ContainerPolicy, &DeterministicRng) -> Result<ShardedExtent>,
+        extent: impl FnOnce(&ContainerPolicy) -> Result<ShardedExtent>,
     ) -> Result<Self> {
         policy.validate()?;
         let container_rng = DeterministicRng::new(rng.derive_seed(&name));
         let fungus = policy.fungus.build(&container_rng)?;
-        let extent = extent(&policy, &container_rng)?;
+        let extent = extent(&policy)?;
         let distiller = Distiller::new(
             &policy.distill,
             extent.schema(),
@@ -578,14 +579,14 @@ mod tests {
             (c.live_count(), c.metrics().tuples_rotted, rows)
         };
         let mono = run(fungus_shard::ShardSpec::default());
-        let sharded = run(fungus_shard::ShardSpec::new(16).with_workers(1));
+        let sharded = run(fungus_shard::ShardSpec::new(16));
         assert_eq!(mono, sharded, "sharding must not change any answer");
     }
 
     #[test]
     fn sharded_container_drops_whole_shards() {
         let policy = ContainerPolicy::new(FungusSpec::Retention { max_age: 2 })
-            .with_sharding(fungus_shard::ShardSpec::new(8).with_workers(1));
+            .with_sharding(fungus_shard::ShardSpec::new(8));
         let mut c = container_with_policy(policy);
         for i in 0..32i64 {
             c.insert(vec![Value::Int(i)], Tick(0)).unwrap();

@@ -1460,6 +1460,50 @@ mod tests {
     }
 
     #[test]
+    fn restore_ignores_the_removed_shard_workers_field() {
+        use fungus_shard::ShardSpec;
+        // While shards fanned out on a thread pool, every spec carried a
+        // `workers` count, in the policy JSON and in the layout manifest.
+        // Such a checkpoint restores to the same extent as one without it.
+        let spec = ShardSpec::new(8).with_adaptive().with_low_water(0.5);
+        let policy =
+            ContainerPolicy::new(FungusSpec::Retention { max_age: 12 }).with_sharding(spec);
+        let mut db = Database::new(41);
+        db.create_container("r", schema(), policy.clone()).unwrap();
+        for round in 0..6 {
+            for v in 0..10 {
+                db.execute(&format!("INSERT INTO r VALUES ({})", round * 10 + v))
+                    .unwrap();
+            }
+            db.run_for(3);
+        }
+        let dir =
+            std::env::temp_dir().join(format!("fungus-workers-checkpoint-{}", std::process::id()));
+        db.checkpoint(&dir).unwrap();
+        let restore = || {
+            let mut restored = Database::new(41);
+            restored.restore_checkpoint(&dir).unwrap();
+            let c = restored.container("r").unwrap();
+            let g = c.read();
+            let rows = restored.execute("SELECT v FROM r").unwrap().result;
+            (g.policy().clone(), g.extent().structure(), rows)
+        };
+        let current = restore();
+        assert!(current.1.shards.len() >= 2, "want a multi-shard layout");
+
+        let manifest = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
+        // Keys render sorted, so `workers` followed `rows_per_shard`: once
+        // in the `layout` line's spec and once in the `container` line's.
+        let field = r#""rows_per_shard":8}"#;
+        assert_eq!(manifest.matches(field).count(), 2, "{manifest}");
+        let old = manifest.replace(field, r#""rows_per_shard":8,"workers":2}"#);
+        std::fs::write(dir.join("MANIFEST"), old).unwrap();
+        assert_eq!(restore(), current);
+        assert_eq!(current.0, policy);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn restore_loads_checkpoints_written_before_layout_lines() {
         // What a checkpoint of a container without a sharding clause looked
         // like while the spec was optional: one `<name>.snap`, a policy

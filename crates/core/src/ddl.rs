@@ -24,7 +24,7 @@
 //! | SQL | effect |
 //! |---|---|
 //! | `SHARDS n` | fixed time-range shards of `n` rows |
-//! | `WITH SHARDING (rows_per_shard = n, adaptive = on\|off, low_water = f, workers = n)` | full control; only `rows_per_shard` is required |
+//! | `WITH SHARDING (rows_per_shard = n, adaptive = on\|off, low_water = f)` | full control; only `rows_per_shard` is required |
 //!
 //! [`resolve_sharding`] is the **single** place a declarative sharding
 //! request becomes a [`ShardSpec`], so defaults stay in one place; a
@@ -112,7 +112,7 @@ fn resolve_fungus(name: &str, args: &[f64]) -> Result<FungusSpec> {
 
 /// Resolves a declarative sharding request into a [`ShardSpec`]. Options
 /// left unset in the SQL take the spec's defaults (fixed layout, engine
-/// low-water mark, worker autodetection), so `SHARDS n` is exactly
+/// low-water mark), so `SHARDS n` is exactly
 /// `WITH SHARDING (rows_per_shard = n)`.
 pub fn resolve_sharding(clause: &ShardingClause) -> Result<ShardSpec> {
     let mut spec = ShardSpec::new(clause.rows_per_shard);
@@ -121,9 +121,6 @@ pub fn resolve_sharding(clause: &ShardingClause) -> Result<ShardSpec> {
     }
     if let Some(low_water) = clause.low_water {
         spec = spec.with_low_water(low_water);
-    }
-    if let Some(workers) = clause.workers {
-        spec = spec.with_workers(workers as usize);
     }
     spec.validate()?;
     Ok(spec)
@@ -324,7 +321,7 @@ mod tests {
         let (_, _, policy) = resolve(
             "CREATE CONTAINER t (a INT) WITH FUNGUS ttl(30) \
              WITH SHARDING (rows_per_shard = 256, adaptive = on, \
-                            low_water = 0.4, workers = 2) \
+                            low_water = 0.4) \
              DECAY EVERY 3",
         )
         .unwrap();
@@ -332,20 +329,39 @@ mod tests {
         assert_eq!(policy.decay_period, TickDelta(3));
         assert_eq!(
             policy.sharding,
-            ShardSpec::new(256)
-                .with_adaptive()
-                .with_low_water(0.4)
-                .with_workers(2)
+            ShardSpec::new(256).with_adaptive().with_low_water(0.4)
         );
         // Clause order is free: sharding may precede the fungus.
         let (_, _, swapped) = resolve(
             "CREATE CONTAINER t (a INT) WITH SHARDING (rows_per_shard = 256, \
-             adaptive = on, low_water = 0.4, workers = 2) WITH FUNGUS ttl(30) \
+             adaptive = on, low_water = 0.4) WITH FUNGUS ttl(30) \
              DECAY EVERY 3",
         )
         .unwrap();
         assert_eq!(swapped.sharding, policy.sharding);
         assert_eq!(swapped.fungus, policy.fungus);
+    }
+
+    #[test]
+    fn workers_is_an_unknown_sharding_option() {
+        let err = parse_statement(
+            "CREATE CONTAINER t (a INT) WITH SHARDING (rows_per_shard = 256, \
+             adaptive = on, workers = 2)",
+        )
+        .unwrap_err();
+        match err {
+            FungusError::ParseError { message, .. } => {
+                assert!(
+                    message.starts_with("unknown sharding option `workers`"),
+                    "{message}"
+                );
+                assert!(
+                    message.ends_with("(expected rows_per_shard, adaptive, or low_water)"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -468,8 +468,7 @@ mod tests {
     }
 
     fn snap_of(store: &TableStore) -> ExtentSnapshot {
-        let rng = fungus_clock::DeterministicRng::new(0);
-        fungus_shard::ShardedExtent::from_monolithic(store, Default::default(), &rng)
+        fungus_shard::ShardedExtent::from_monolithic(store, Default::default())
             .unwrap()
             .publish_snapshot()
     }

@@ -99,12 +99,6 @@ pub mod hierarchy {
         name: "Mvcc.retired",
         rank: 46,
     };
-    /// Work-stealing queues of the shard fan-out pool (leaf; guards are
-    /// never held across a steal attempt on another queue).
-    pub static POOL_QUEUES: LockClass = LockClass {
-        name: "ShardPool.queues",
-        rank: 50,
-    };
     /// `ServerStats` link cells (decay-driver counter, catalog handle).
     /// Leaves: a guard must never be held across a catalog call.
     pub static STATS: LockClass = LockClass {
@@ -124,7 +118,6 @@ pub mod hierarchy {
         &MVCC_TOUCHES,
         &MVCC_VERSIONS,
         &MVCC_RETIRED,
-        &POOL_QUEUES,
         &STATS,
     ];
 }

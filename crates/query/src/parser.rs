@@ -154,9 +154,9 @@ pub struct CreateContainerStatement {
 
 /// Declarative sharding options from a `CREATE CONTAINER` statement —
 /// either the `SHARDS n` shorthand or the full
-/// `WITH SHARDING (rows_per_shard = n, adaptive = on|off, low_water = f,
-/// workers = n)` form. The engine layer resolves this into its shard
-/// specification; unset options take the engine's defaults.
+/// `WITH SHARDING (rows_per_shard = n, adaptive = on|off, low_water = f)`
+/// form. The engine layer resolves this into its shard specification;
+/// unset options take the engine's defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardingClause {
     /// Target rows per time-range shard (`SHARDS n` sets only this).
@@ -167,8 +167,6 @@ pub struct ShardingClause {
     /// `low_water = f`: merge a sealed shard whose live fraction falls
     /// under `f` (0 disables merging). `None` = engine default.
     pub low_water: Option<f64>,
-    /// `workers = n`: shard worker threads. `None` = engine default.
-    pub workers: Option<u64>,
 }
 
 /// One pipeline of a `WITH DISTILL (name = func(args…) [ON column], …)`
@@ -602,7 +600,6 @@ impl Parser {
                             rows_per_shard: n as u64,
                             adaptive: None,
                             low_water: None,
-                            workers: None,
                         })
                     }
                     _ => return Err(self.error("SHARDS expects a positive integer")),
@@ -679,7 +676,7 @@ impl Parser {
         Ok(clauses)
     }
 
-    /// `(rows_per_shard = n, adaptive = on|off, low_water = f, workers = n)`
+    /// `(rows_per_shard = n, adaptive = on|off, low_water = f)`
     /// in any order; `rows_per_shard` is mandatory, the rest default at the
     /// engine layer.
     fn sharding_options(&mut self) -> Result<ShardingClause> {
@@ -687,7 +684,6 @@ impl Parser {
         let mut rows_per_shard = None;
         let mut adaptive = None;
         let mut low_water = None;
-        let mut workers = None;
         loop {
             let key = self.expect_ident("sharding option name")?.to_lowercase();
             self.expect_symbol('=')?;
@@ -710,14 +706,10 @@ impl Parser {
                     Tok::Int(n) if n >= 0 => low_water = Some(n as f64),
                     _ => return Err(self.error("low_water expects a number")),
                 },
-                "workers" => match self.bump() {
-                    Tok::Int(n) if n > 0 => workers = Some(n as u64),
-                    _ => return Err(self.error("workers expects a positive integer")),
-                },
                 other => {
                     return Err(self.error(format!(
                         "unknown sharding option `{other}` \
-                         (expected rows_per_shard, adaptive, low_water, or workers)"
+                         (expected rows_per_shard, adaptive, or low_water)"
                     )))
                 }
             }
@@ -732,7 +724,6 @@ impl Parser {
             rows_per_shard,
             adaptive,
             low_water,
-            workers,
         })
     }
 

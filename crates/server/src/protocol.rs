@@ -63,8 +63,9 @@ pub enum Response {
         reports: Vec<HealthSummary>,
         /// Server-level counters (fault injections, worker panics and
         /// respawns, decay-driver ticks), when the answering session has
-        /// them attached. `None` from embedded/unit-test sessions.
-        server: Option<StatsSummary>,
+        /// them attached. `None` from embedded/unit-test sessions. Boxed
+        /// so this rare arm does not size every response.
+        server: Option<Box<StatsSummary>>,
     },
     /// Reply to [`Request::Ping`].
     Pong,
@@ -276,7 +277,7 @@ mod tests {
             },
             Response::Health {
                 reports: vec![],
-                server: Some(StatsSummary {
+                server: Some(Box::new(StatsSummary {
                     accepted: 4,
                     rejected: 1,
                     requests: 90,
@@ -307,7 +308,7 @@ mod tests {
                     reactor_stalls: 4,
                     reactor_wakeups: 350,
                     reactor_write_hwm: 8192,
-                }),
+                })),
             },
             Response::Pong,
             Response::Error {

@@ -133,7 +133,7 @@ impl Session {
                 };
                 Response::Health {
                     reports,
-                    server: self.stats_summary(),
+                    server: self.stats_summary().map(Box::new),
                 }
             }
             ".stats" => match self.stats_summary() {

@@ -345,8 +345,7 @@ mod tests {
         db.create_container(
             "r",
             Schema::from_pairs(&[("v", DataType::Int)]).unwrap(),
-            fungus_core::ContainerPolicy::immortal()
-                .with_sharding(fungus_core::ShardSpec::new(4).with_workers(1)),
+            fungus_core::ContainerPolicy::immortal().with_sharding(fungus_core::ShardSpec::new(4)),
         )
         .unwrap();
         for i in 0..10i64 {

@@ -30,11 +30,6 @@ pub struct ShardSpec {
     /// `adaptive` this is the high-water row budget a tail shard may not
     /// outgrow between eviction sweeps.
     pub rows_per_shard: u64,
-    /// Worker threads for fan-out (decay ticks, parallel scans).
-    /// `None` picks the machine's available parallelism; `Some(1)` runs
-    /// every fan-out inline on the calling thread.
-    #[serde(default)]
-    pub workers: Option<usize>,
     /// Enables the adaptive shard lifecycle (early tail seals under insert
     /// pressure, low-water merges of hollowed-out sealed shards).
     #[serde(default)]
@@ -60,16 +55,9 @@ impl ShardSpec {
     pub fn new(rows_per_shard: u64) -> Self {
         ShardSpec {
             rows_per_shard,
-            workers: None,
             adaptive: false,
             low_water: default_low_water(),
         }
-    }
-
-    /// Sets an explicit fan-out worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
-        self
     }
 
     /// Turns on the adaptive shard lifecycle (split/merge on live-count
@@ -101,11 +89,6 @@ impl ShardSpec {
                 "adaptive sharding needs a finite rows_per_shard budget".into(),
             ));
         }
-        if self.workers == Some(0) {
-            return Err(FungusError::InvalidConfig(
-                "shard workers must be at least 1 when set".into(),
-            ));
-        }
         if !self.low_water.is_finite() || self.low_water < 0.0 || self.low_water >= 1.0 {
             return Err(FungusError::InvalidConfig(format!(
                 "shard low_water must be in [0, 1), got {}",
@@ -131,7 +114,6 @@ mod tests {
     #[test]
     fn validation_rejects_degenerate_specs() {
         assert!(ShardSpec::new(0).validate().is_err());
-        assert!(ShardSpec::new(16).with_workers(0).validate().is_err());
         assert!(ShardSpec::new(16).with_low_water(1.0).validate().is_err());
         assert!(ShardSpec::new(16).with_low_water(-0.1).validate().is_err());
         assert!(ShardSpec::new(16)
@@ -153,7 +135,7 @@ mod tests {
 
     #[test]
     fn spec_roundtrips_through_json() {
-        let spec = ShardSpec::new(128).with_workers(4);
+        let spec = ShardSpec::new(128);
         let json = fungus_types::json::to_string(&spec).unwrap();
         let back: ShardSpec = fungus_types::json::from_str(&json).unwrap();
         assert_eq!(back, spec);
@@ -161,12 +143,21 @@ mod tests {
         let json = fungus_types::json::to_string(&spec).unwrap();
         let back: ShardSpec = fungus_types::json::from_str(&json).unwrap();
         assert_eq!(back, spec);
-        // `workers` and the adaptive knobs are optional on the wire, so
-        // pre-adaptive policies parse unchanged.
+        // The adaptive knobs are optional on the wire, so pre-adaptive
+        // policies parse unchanged.
         let bare: ShardSpec = fungus_types::json::from_str(r#"{"rows_per_shard":7}"#).unwrap();
         assert_eq!(bare, ShardSpec::new(7));
         assert!(!bare.adaptive);
         assert_eq!(bare.low_water, 0.25);
+        // Specs written while shards had a `workers` fan-out knob still
+        // parse: the field is ignored, with or without a value.
+        for old in [
+            r#"{"rows_per_shard":7,"workers":2}"#,
+            r#"{"rows_per_shard":7,"workers":null}"#,
+        ] {
+            let back: ShardSpec = fungus_types::json::from_str(old).unwrap();
+            assert_eq!(back, ShardSpec::new(7), "{old}");
+        }
         // The never-sealing width survives the codec's f64 numbers exactly.
         let json = fungus_types::json::to_string(&ShardSpec::default()).unwrap();
         let back: ShardSpec = fungus_types::json::from_str(&json).unwrap();

@@ -19,9 +19,7 @@
 //! - `live_neighbors` bridges shard boundaries and dropped-shard gaps, so
 //!   EGI spread crosses shards exactly as it crosses tombstone holes.
 //! - EGI's random draws stay on the container's single RNG stream over
-//!   the global candidate list; the per-shard streams exposed by
-//!   [`Shard::rng_seed`] are derived from the shard base (layout-stable)
-//!   and never feed the equivalence-relevant path.
+//!   the global candidate list; no shard has a stream of its own.
 //!
 //! What *does* differ is the cost model, and that is the point:
 //!
@@ -32,11 +30,10 @@
 //!   since the last pass), and a shard whose live tuples are all rotten
 //!   is **dropped in O(1)** — detached whole, one id-range gap recorded —
 //!   instead of tuple-by-tuple tombstoning and later compaction.
-//! - Fan-out (candidate gathers, rot detection) runs on a work-stealing
-//!   [`ShardPool`]; results are merged slot-indexed so scheduling never
-//!   perturbs determinism. With one worker everything runs inline. A query
-//!   scan visits the shards serially instead: it feeds one sink that folds
-//!   matches in id order, so there is nothing for a worker to do alone.
+//! - Every per-shard pass (rot detection, candidate gathers, scans) runs
+//!   serially on the calling thread, shard by shard in id order. No
+//!   thread is spawned and no lock is taken, so a pass has no schedule
+//!   that could perturb determinism.
 //!
 //! Diagnostic counters (`scanned`, pruned counts, census run shapes) may
 //! differ from the monolithic layout; answers, eviction sets, and decay
@@ -47,7 +44,6 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use fungus_clock::DeterministicRng;
 use fungus_query::{LogicalPlan, QueryExtent, ReadExtent, ScanOutcome};
 use fungus_storage::{
     CompactionReport, DecaySurface, FreshnessHistogram, Slot, SpotCensus, StorageConfig,
@@ -56,7 +52,6 @@ use fungus_storage::{
 use fungus_types::{Freshness, Result, Schema, Tick, Tuple, TupleId, TupleMeta, Value};
 
 use crate::config::ShardSpec;
-use crate::pool::ShardPool;
 use crate::shard::Shard;
 use crate::snapshot::{scan_shards, ExtentSnapshot, SnapshotShard};
 
@@ -165,10 +160,6 @@ pub struct DroppedRangeManifest {
 /// The layout half of a sharded container's checkpoint: everything needed
 /// to reassemble a [`ShardedExtent`] around its per-shard snapshot files
 /// with boundaries, summaries, dirty flags, gaps, and counters intact.
-///
-/// RNG streams are deliberately absent: they re-derive from the database
-/// construction seed, matching the restore contract ("freshly constructed
-/// with the original seed").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardLayoutManifest {
     /// The container schema (needed when no resident shard survives to
@@ -238,20 +229,11 @@ pub struct ShardedExtent {
     tail_inserts_since_sweep: u64,
     hash_indexed: Vec<String>,
     ord_indexed: Vec<String>,
-    pool: ShardPool,
-    /// Root for per-shard RNG stream derivation (see [`Shard::rng_seed`]).
-    rng_root: u64,
 }
 
 impl ShardedExtent {
-    /// An empty sharded extent. Per-shard RNG streams are split from
-    /// `rng`, the container's deterministic RNG.
-    pub fn new(
-        schema: Schema,
-        storage: StorageConfig,
-        spec: ShardSpec,
-        rng: &DeterministicRng,
-    ) -> Result<Self> {
+    /// An empty sharded extent.
+    pub fn new(schema: Schema, storage: StorageConfig, spec: ShardSpec) -> Result<Self> {
         spec.validate()?;
         Ok(ShardedExtent {
             schema,
@@ -273,8 +255,6 @@ impl ShardedExtent {
             tail_inserts_since_sweep: 0,
             hash_indexed: Vec::new(),
             ord_indexed: Vec::new(),
-            pool: ShardPool::new(spec.workers),
-            rng_root: rng.derive_seed("shard-extent"),
         })
     }
 
@@ -420,14 +400,11 @@ impl ShardedExtent {
         if self.shards.last().is_some_and(|tail| !tail.is_sealed()) {
             return Ok(());
         }
-        let base = self.next_id;
-        let seed = DeterministicRng::new(self.rng_root).derive_seed(&format!("shard/{base}"));
         let mut shard = Shard::new(
             self.schema.clone(),
             self.storage.clone(),
-            base,
+            self.next_id,
             self.spec.rows_per_shard,
-            seed,
         )?;
         for col in &self.hash_indexed {
             shard.store_mut().create_index(col)?;
@@ -478,70 +455,53 @@ impl ShardedExtent {
     /// Removes every rotten tuple, returning them in id order — the
     /// sharded counterpart of [`TableStore::evict_rotten`].
     ///
-    /// Detection fans out over **dirty** shards only (no freshness changed
-    /// since the last pass means nothing can have rotted); a dirty shard
-    /// whose live tuples are all rotten is dropped whole in O(1).
+    /// Detection visits **dirty** shards only (no freshness changed since
+    /// the last pass means nothing can have rotted); a dirty shard whose
+    /// live tuples are all rotten is dropped whole in O(1). Each shard is
+    /// swept once, and its evictions are applied before the next is read.
     pub fn evict_rotten(&mut self) -> Vec<Tuple> {
-        /// Detection result for one dirty shard: the rotten ids plus the
-        /// exact summary of the survivors, folded into the same sweep so
-        /// the shard is scanned once per pass, not once for detection and
-        /// again for bounds recomputation.
-        struct DirtySweep {
-            rotten: Vec<TupleId>,
-            lo: f64,
-            hi: f64,
-            min_tick: u64,
-            max_tick: u64,
-        }
-        let sweeps: Vec<Option<DirtySweep>> = self.pool.run(self.shards.len(), |i| {
-            let sh = &self.shards[i];
-            if !sh.dirty() {
-                return None;
-            }
-            let mut sweep = DirtySweep {
-                rotten: Vec::new(),
-                lo: f64::INFINITY,
-                hi: f64::NEG_INFINITY,
-                min_tick: u64::MAX,
-                max_tick: 0,
-            };
-            for t in sh.store().iter_live() {
-                if t.meta.is_rotten() {
-                    sweep.rotten.push(t.meta.id);
-                } else {
-                    let f = t.meta.freshness.get();
-                    sweep.lo = sweep.lo.min(f);
-                    sweep.hi = sweep.hi.max(f);
-                    sweep.min_tick = sweep.min_tick.min(t.meta.inserted_at.get());
-                    sweep.max_tick = sweep.max_tick.max(t.meta.inserted_at.get());
-                }
-            }
-            Some(sweep)
-        });
         let mut evicted = Vec::new();
+        let mut rotten = Vec::new();
         let mut idx = 0usize;
-        for sweep in sweeps {
-            let Some(sweep) = sweep else {
+        while idx < self.shards.len() {
+            let sh = &self.shards[idx];
+            if !sh.dirty() {
                 idx += 1;
                 continue;
-            };
-            let live = self.shards[idx].store().live_count();
-            if live > 0 && sweep.rotten.len() == live {
+            }
+            // One sweep finds the rotten ids and the exact summary of the
+            // survivors, so the shard is not scanned again for its bounds.
+            rotten.clear();
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            let (mut min_tick, mut max_tick) = (u64::MAX, 0);
+            for t in sh.store().iter_live() {
+                if t.meta.is_rotten() {
+                    rotten.push(t.meta.id);
+                } else {
+                    let f = t.meta.freshness.get();
+                    lo = lo.min(f);
+                    hi = hi.max(f);
+                    min_tick = min_tick.min(t.meta.inserted_at.get());
+                    max_tick = max_tick.max(t.meta.inserted_at.get());
+                }
+            }
+            let live = sh.store().live_count();
+            if live > 0 && rotten.len() == live {
                 let shard = self.shards.remove(idx);
                 evicted.extend(self.drop_shard(shard, true));
                 // The next shard slid into `idx`.
-            } else {
-                let shard = &mut self.shards[idx];
-                for id in sweep.rotten {
-                    if let Some(t) = shard.store_mut().delete(id, TombstoneReason::Rotted) {
-                        evicted.push(t);
-                    }
-                }
-                // The survivor summary from the sweep is exact: deletes
-                // removed precisely the rotten set it skipped.
-                shard.set_bounds(sweep.lo, sweep.hi, sweep.min_tick, sweep.max_tick);
-                idx += 1;
+                continue;
             }
+            let shard = &mut self.shards[idx];
+            for id in rotten.drain(..) {
+                if let Some(t) = shard.store_mut().delete(id, TombstoneReason::Rotted) {
+                    evicted.push(t);
+                }
+            }
+            // The survivor summary from the sweep is exact: deletes
+            // removed precisely the rotten set it skipped.
+            shard.set_bounds(lo, hi, min_tick, max_tick);
+            idx += 1;
         }
         if self.spec.adaptive {
             self.adapt();
@@ -655,10 +615,6 @@ impl ShardedExtent {
             store,
             base,
             capacity,
-            // Same base, same derived stream: the merged shard keeps the
-            // left shard's RNG seed, so shard-local randomness stays
-            // layout-stable.
-            left.rng_seed(),
             left.dirty() || right.dirty(),
             lr.freshness_lo.min(rr.freshness_lo),
             lr.freshness_hi.max(rr.freshness_hi),
@@ -787,15 +743,11 @@ impl ShardedExtent {
 
     /// Reassembles an extent from a layout manifest plus one restored
     /// store per manifest shard record (same order). Boundaries, dirty
-    /// flags, summaries, gaps, and counters come back verbatim; per-shard
-    /// RNG seeds re-derive from `rng` (the restore contract hands us a
-    /// container RNG in its construction state, so the derivation matches
-    /// the original extent exactly).
+    /// flags, summaries, gaps, and counters come back verbatim.
     pub fn from_manifest(
         storage: StorageConfig,
         manifest: &ShardLayoutManifest,
         stores: Vec<TableStore>,
-        rng: &DeterministicRng,
     ) -> Result<Self> {
         manifest.spec.validate()?;
         if stores.len() != manifest.shards.len() {
@@ -805,8 +757,6 @@ impl ShardedExtent {
                 stores.len()
             )));
         }
-        let rng_root = rng.derive_seed("shard-extent");
-        let derive = DeterministicRng::new(rng_root);
         let mut shards = Vec::with_capacity(stores.len());
         let mut prev_end = 0u64;
         for (record, store) in manifest.shards.iter().zip(stores) {
@@ -822,12 +772,10 @@ impl ShardedExtent {
                     record.base
                 )));
             }
-            let seed = derive.derive_seed(&format!("shard/{}", record.base));
             let shard = Shard::from_parts(
                 store,
                 record.base,
                 record.capacity,
-                seed,
                 record.dirty,
                 record.freshness_lo,
                 record.freshness_hi,
@@ -872,8 +820,6 @@ impl ShardedExtent {
             tail_inserts_since_sweep: manifest.tail_inserts_since_sweep,
             hash_indexed: manifest.hash_indexed.clone(),
             ord_indexed: manifest.ord_indexed.clone(),
-            pool: ShardPool::new(manifest.spec.workers),
-            rng_root,
         })
     }
 
@@ -1055,13 +1001,8 @@ impl ShardedExtent {
     /// Re-shards a monolithic store under `spec`. The logical content is
     /// preserved exactly (live tuples, tombstones, counters, infection
     /// state, index definitions); shard summaries are recomputed.
-    pub fn from_monolithic(
-        store: &TableStore,
-        spec: ShardSpec,
-        rng: &DeterministicRng,
-    ) -> Result<Self> {
-        let mut ext =
-            ShardedExtent::new(store.schema().clone(), store.config().clone(), spec, rng)?;
+    pub fn from_monolithic(store: &TableStore, spec: ShardSpec) -> Result<Self> {
+        let mut ext = ShardedExtent::new(store.schema().clone(), store.config().clone(), spec)?;
         let columns = store.schema().columns().to_vec();
         for ci in store.indexed_columns() {
             ext.create_index(&columns[ci].name)?;
@@ -1256,25 +1197,6 @@ impl DecaySurface for ShardedExtent {
     fn live_neighbors(&self, id: TupleId) -> (Option<TupleId>, Option<TupleId>) {
         (self.prev_live(id), self.next_live(id))
     }
-
-    fn seed_candidates(&self, now: Tick) -> Vec<(TupleId, f64)> {
-        // Gather per shard on the pool, merge in shard (= id) order: the
-        // output is bit-identical to the default single-pass gather, so
-        // EGI's draws are layout-independent.
-        let per: Vec<Vec<(TupleId, f64)>> = self.pool.run(self.shards.len(), |i| {
-            let sh = &self.shards[i];
-            sh.store()
-                .iter_live()
-                .filter(|t| !t.meta.infected)
-                .map(|t| (t.meta.id, t.meta.age(now).as_f64()))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(per.iter().map(Vec::len).sum());
-        for v in per {
-            out.extend(v);
-        }
-        out
-    }
 }
 
 impl ReadExtent for ShardedExtent {
@@ -1336,6 +1258,7 @@ impl QueryExtent for ShardedExtent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fungus_clock::DeterministicRng;
     use fungus_fungi::{EgiConfig, EgiFungus, SeedBias};
     use fungus_query::execute_statement;
     use fungus_types::{DataType, Value};
@@ -1348,8 +1271,7 @@ mod tests {
         ShardedExtent::new(
             schema(),
             StorageConfig::for_tests(),
-            ShardSpec::new(rows_per_shard).with_workers(1),
-            &DeterministicRng::new(99),
+            ShardSpec::new(rows_per_shard),
         )
         .unwrap()
     }
@@ -1503,22 +1425,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_candidate_override_matches_default_gather() {
-        let mut ext = sharded(4);
-        fill(&mut ext, 19);
-        DecaySurface::infect(&mut ext, TupleId(3), Tick(20));
-        DecaySurface::infect(&mut ext, TupleId(11), Tick(20));
-        let fast = DecaySurface::seed_candidates(&ext, Tick(25));
-        let mut slow = Vec::new();
-        ext.for_each_live_meta(&mut |id, meta| {
-            if !meta.infected {
-                slow.push((id, meta.age(Tick(25)).as_f64()));
-            }
-        });
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
     fn monolithic_roundtrip_preserves_logical_state() {
         let mut ext = sharded(4);
         fill(&mut ext, 20);
@@ -1551,9 +1457,7 @@ mod tests {
         let ext_live = live_of(&ext);
         assert_eq!(mono_live, ext_live);
 
-        let back =
-            ShardedExtent::from_monolithic(&mono, ShardSpec::new(7), &DeterministicRng::new(99))
-                .unwrap();
+        let back = ShardedExtent::from_monolithic(&mono, ShardSpec::new(7)).unwrap();
         assert_eq!(back.live_count(), ext.live_count());
         assert_eq!(back.evicted_rotted(), ext.evicted_rotted());
         assert_eq!(back.infected_ids(), ext.infected_ids());
@@ -1612,10 +1516,8 @@ mod tests {
             schema(),
             StorageConfig::for_tests(),
             ShardSpec::new(rows_per_shard)
-                .with_workers(1)
                 .with_adaptive()
                 .with_low_water(low_water),
-            &DeterministicRng::new(99),
         )
         .unwrap()
     }
@@ -1740,19 +1642,10 @@ mod tests {
         })
         .unwrap();
         let stores: Vec<TableStore> = stores.into_iter().map(|(_, s)| s).collect();
-        let back = ShardedExtent::from_manifest(
-            StorageConfig::for_tests(),
-            &manifest,
-            stores,
-            &DeterministicRng::new(99),
-        )
-        .unwrap();
+        let back =
+            ShardedExtent::from_manifest(StorageConfig::for_tests(), &manifest, stores).unwrap();
         assert_eq!(back.structure(), ext.structure());
         assert_eq!(back.shards_restored(), back.shard_count() as u64);
-        // RNG streams re-derive identically.
-        for (a, b) in ext.shards.iter().zip(back.shards.iter()) {
-            assert_eq!(a.rng_seed(), b.rng_seed());
-        }
         // And the restored extent behaves identically from here on.
         let mut back = back;
         let a = ext.evict_rotten();
@@ -1770,12 +1663,7 @@ mod tests {
         fill(&mut ext, 10);
         let manifest = ext.manifest();
         // Too few stores.
-        let err = ShardedExtent::from_manifest(
-            StorageConfig::for_tests(),
-            &manifest,
-            Vec::new(),
-            &DeterministicRng::new(99),
-        );
+        let err = ShardedExtent::from_manifest(StorageConfig::for_tests(), &manifest, Vec::new());
         assert!(err.is_err());
         // Wrong-schema store.
         let other = Schema::from_pairs(&[("x", DataType::Int)]).unwrap();
@@ -1784,12 +1672,7 @@ mod tests {
             .iter()
             .map(|_| TableStore::new(other.clone(), StorageConfig::for_tests()).unwrap())
             .collect();
-        let err = ShardedExtent::from_manifest(
-            StorageConfig::for_tests(),
-            &manifest,
-            stores,
-            &DeterministicRng::new(99),
-        );
+        let err = ShardedExtent::from_manifest(StorageConfig::for_tests(), &manifest, stores);
         assert!(err.is_err());
     }
 

@@ -8,9 +8,9 @@
 //! - **Pruning:** scans skip whole shards via per-shard min/max tick, id,
 //!   and freshness bounds before touching tuples (segment zone maps still
 //!   apply inside surviving shards).
-//! - **Decay fan-out:** eviction detection and candidate gathers run one
-//!   task per shard on a work-stealing [`ShardPool`]; clean shards are
-//!   skipped outright via per-shard dirty flags.
+//! - **Dirty-shard sweeps:** eviction visits shards one at a time on the
+//!   calling thread and skips clean ones outright via per-shard dirty
+//!   flags. Nothing fans out, so no answer depends on a thread count.
 //! - **O(1) rot drops:** a shard whose live tuples have all rotted is
 //!   detached whole — one id-range gap — instead of being tombstoned
 //!   tuple by tuple and compacted later.
@@ -23,9 +23,8 @@
 //!   the container's single RNG stream over the id-ordered candidate
 //!   list, and spread stays local along the time axis, so a sharded
 //!   extent is bit-for-bit equivalent to a monolithic one under the same
-//!   seed — for *any* shard count. Per-shard RNG streams are split from
-//!   the container RNG by shard base and reserved for shard-local
-//!   randomness that must not depend on layout history.
+//!   seed — for *any* shard count. A shard draws no randomness of its
+//!   own.
 //!
 //! See [`ShardedExtent`] for the equivalence contract and the cost-model
 //! differences (which are the point of sharding).
@@ -35,7 +34,6 @@
 
 pub mod config;
 pub mod extent;
-pub mod pool;
 pub mod shard;
 pub mod snapshot;
 
@@ -44,6 +42,5 @@ pub use extent::{
     DroppedRangeManifest, ShardLayoutManifest, ShardManifest, ShardRecord, ShardStructure,
     ShardedExtent,
 };
-pub use pool::ShardPool;
 pub use shard::Shard;
 pub use snapshot::{ExtentSnapshot, SnapshotShard};

@@ -25,7 +25,6 @@ pub struct Shard {
     store: TableStore,
     base: u64,
     capacity: u64,
-    rng_seed: u64,
     dirty: bool,
     freshness_lo: f64,
     freshness_hi: f64,
@@ -40,19 +39,12 @@ pub struct Shard {
 
 impl Shard {
     /// An empty shard owning ids `[base, base + capacity)`.
-    pub fn new(
-        schema: Schema,
-        config: StorageConfig,
-        base: u64,
-        capacity: u64,
-        rng_seed: u64,
-    ) -> Result<Shard> {
+    pub fn new(schema: Schema, config: StorageConfig, base: u64, capacity: u64) -> Result<Shard> {
         let store = TableStore::with_base(schema, config, fungus_types::TupleId(base))?;
         Ok(Shard {
             store,
             base,
             capacity,
-            rng_seed,
             dirty: false,
             freshness_lo: 1.0,
             freshness_hi: 0.0,
@@ -110,7 +102,6 @@ impl Shard {
         store: TableStore,
         base: u64,
         capacity: u64,
-        rng_seed: u64,
         dirty: bool,
         freshness_lo: f64,
         freshness_hi: f64,
@@ -127,7 +118,6 @@ impl Shard {
             store,
             base,
             capacity,
-            rng_seed,
             dirty,
             freshness_lo,
             freshness_hi,
@@ -171,16 +161,6 @@ impl Shard {
     pub fn seal_now(&mut self) {
         debug_assert!(self.allocated() > 0, "cannot seal an empty shard");
         self.capacity = self.allocated();
-    }
-
-    /// The seed of this shard's RNG stream, split from the container RNG
-    /// by shard base — stable across runs and across shard drops, so any
-    /// shard-local randomness (e.g. maintenance jitter) is reproducible
-    /// regardless of how many shards exist around it. The equivalence-
-    /// critical draws (EGI seeding) deliberately do *not* use it; they
-    /// stay on the container's single stream.
-    pub fn rng_seed(&self) -> u64 {
-        self.rng_seed
     }
 
     /// Whether any freshness has changed since the last eviction pass.
@@ -291,7 +271,7 @@ mod tests {
 
     fn shard() -> Shard {
         let schema = Schema::from_pairs(&[("v", DataType::Int)]).unwrap();
-        Shard::new(schema, StorageConfig::for_tests(), 100, 16, 7).unwrap()
+        Shard::new(schema, StorageConfig::for_tests(), 100, 16).unwrap()
     }
 
     #[test]

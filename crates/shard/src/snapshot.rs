@@ -144,7 +144,6 @@ pub(crate) fn scan_shards<'a>(
 mod tests {
     use super::*;
     use crate::{ShardSpec, ShardedExtent};
-    use fungus_clock::DeterministicRng;
     use fungus_query::QueryExtent;
     use fungus_storage::StorageConfig;
     use fungus_types::{DataType, TupleId, Value};
@@ -152,13 +151,8 @@ mod tests {
     #[test]
     fn monolithic_snapshot_answers_point_reads() {
         let schema = Schema::from_pairs(&[("v", DataType::Int)]).unwrap();
-        let mut ext = ShardedExtent::new(
-            schema,
-            StorageConfig::for_tests(),
-            ShardSpec::default(),
-            &DeterministicRng::new(1),
-        )
-        .unwrap();
+        let mut ext =
+            ShardedExtent::new(schema, StorageConfig::for_tests(), ShardSpec::default()).unwrap();
         for i in 0..5i64 {
             ext.insert(vec![Value::Int(i)], Tick(i as u64)).unwrap();
         }

@@ -57,10 +57,9 @@ pub trait DecaySurface {
     /// `(id, age in ticks)` of every live **uninfected** tuple, in id order
     /// — the EGI seed candidate list.
     ///
-    /// A dedicated hook so partitioned surfaces can gather candidates
-    /// per-partition (in parallel) and merge in id order; the output must
-    /// be identical to this default for determinism to hold across
-    /// layouts.
+    /// Built on [`for_each_live_meta`](Self::for_each_live_meta) alone,
+    /// so every layout of the same rows yields the same list, and EGI's
+    /// draws over it do not depend on how the rows are partitioned.
     fn seed_candidates(&self, now: Tick) -> Vec<(TupleId, f64)> {
         let mut out = Vec::with_capacity(self.live_count());
         self.for_each_live_meta(&mut |id, meta| {

@@ -1039,7 +1039,7 @@ fn e13(scale: Scale) -> Table {
             rot_rate: 0.5,
             spread_width: 6,
         });
-        let policy = ContainerPolicy::new(fungus).with_sharding(spec.with_workers(1));
+        let policy = ContainerPolicy::new(fungus).with_sharding(spec);
         // One seed for every layout: identical rot, identical answers.
         let mut c = Container::new("t", schema, policy, &DeterministicRng::new(0xE13)).unwrap();
 

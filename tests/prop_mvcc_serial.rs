@@ -70,12 +70,9 @@ fn layouts(inserts: u64) -> Vec<ShardSpec> {
     let quarter = (inserts / 4).max(1);
     vec![
         ShardSpec::default(),
-        ShardSpec::new(quarter).with_workers(1),
-        ShardSpec::new((inserts / 16).max(1)).with_workers(1),
-        ShardSpec::new(6)
-            .with_workers(1)
-            .with_adaptive()
-            .with_low_water(0.5),
+        ShardSpec::new(quarter),
+        ShardSpec::new((inserts / 16).max(1)),
+        ShardSpec::new(6).with_adaptive().with_low_water(0.5),
     ]
 }
 
@@ -242,11 +239,10 @@ proptest! {
         seed in 0u64..1_000,
         shards in prop_oneof![Just(0u64), Just(4), Just(16)],
     ) {
-        let spec = if shards == 0 {
-            ShardSpec::default()
-        } else {
-            let inserts = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count() as u64;
-            ShardSpec::new((inserts / shards).max(1)).with_workers(1)
+        let inserts = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count() as u64;
+        let spec = match inserts.checked_div(shards) {
+            None => ShardSpec::default(),
+            Some(rows) => ShardSpec::new(rows.max(1)),
         };
         let db = build(seed, spec);
         let mut pins = Vec::new();
@@ -305,7 +301,7 @@ fn a_retired_version_frees_exactly_the_segments_its_successor_replaced() {
     let schema = Schema::from_pairs(&[("v", DataType::Int)]).unwrap();
     let policy = ContainerPolicy::new(FungusSpec::Linear { lifetime: 100 })
         .with_storage(StorageConfig::for_tests())
-        .with_sharding(ShardSpec::new(32).with_workers(1));
+        .with_sharding(ShardSpec::new(32));
     let mut db = Database::new(5);
     db.create_container("t", schema, policy).unwrap();
     for v in 0..83 {

@@ -1212,10 +1212,9 @@ proptest! {
             Planner.plan(&stmt, ext.schema()).and_then(|plan| execute_readonly(&plan, ext, now))
         };
         same_answer(&sql, run(&store), reference(&stmt, &store, now));
-        let rng = DeterministicRng::new(5);
         let quarter = (rows.len() as u64).div_ceil(4).max(1);
         for spec in [ShardSpec::default(), ShardSpec::new(quarter)] {
-            let snap = ShardedExtent::from_monolithic(&store, spec, &rng)
+            let snap = ShardedExtent::from_monolithic(&store, spec)
                 .unwrap()
                 .publish_snapshot();
             same_answer(&sql, run(&snap), reference(&stmt, &snap, now));

@@ -257,13 +257,7 @@ fn schema() -> Schema {
 }
 
 fn sharded(spec: ShardSpec) -> ShardedExtent {
-    ShardedExtent::new(
-        schema(),
-        StorageConfig::for_tests(),
-        spec,
-        &DeterministicRng::new(1),
-    )
-    .unwrap()
+    ShardedExtent::new(schema(), StorageConfig::for_tests(), spec).unwrap()
 }
 
 proptest! {
@@ -289,11 +283,10 @@ proptest! {
             .sum();
         let mut layouts: Vec<ShardSpec> = [1u64, 4, 16]
             .iter()
-            .map(|shards| ShardSpec::new((rows / shards).max(1)).with_workers(1))
+            .map(|shards| ShardSpec::new((rows / shards).max(1)))
             .collect();
         layouts.push(
             ShardSpec::new((rows / 4).max(1))
-                .with_workers(1)
                 .with_adaptive()
                 .with_low_water(0.6),
         );
@@ -335,7 +328,7 @@ fn a_segment_the_walk_does_not_write_stays_shared_with_the_pin() {
         "the tail segment of rows inserted at `now` is not copied"
     );
 
-    let mut ext = sharded(ShardSpec::new(8).with_workers(1));
+    let mut ext = sharded(ShardSpec::new(8));
     fill(&mut ext);
     let pinned = ext.pin();
     ttl.tick(&mut ext, Tick(5));

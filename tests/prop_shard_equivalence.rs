@@ -6,10 +6,6 @@
 //! reference lives in `fungus-shard`'s unit tests and in `prop_rot_walk`;
 //! here the never-sealing shard is the container-level oracle.)
 //!
-//! Most layouts run their shard fan-out inline on one worker; two run it
-//! on a multi-worker sweep pool, so the threaded path is held to the same
-//! contract.
-//!
 //! This is the contract that makes sharding a pure layout decision: EGI's
 //! seed draws stay on the container's single RNG stream over the globally
 //! id-ordered candidate list, spread is resolved along the global time
@@ -153,11 +149,12 @@ fn run_workload(ops: &[Op], seed: u64, fungus: &FungusSpec, spec: ShardSpec) -> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Default (one never-sealing shard), fixed 1/4/16-shard, adaptive,
-    /// and multi-worker layouts all observe identical histories. The adaptive specs put the lifecycle on the
-    /// hot path: small shards with a high low-water mark so bursty insert
-    /// runs split the tail and rot-hollowed neighbors merge mid-history —
-    /// and none of it may move a single answer or eviction.
+    /// Default (one never-sealing shard), fixed 1/4/16-shard and
+    /// adaptive layouts all observe identical histories. The adaptive
+    /// specs put the lifecycle on the hot path: small shards with a high
+    /// low-water mark so bursty insert runs split the tail and
+    /// rot-hollowed neighbors merge mid-history — and none of it may move
+    /// a single answer or eviction.
     #[test]
     fn shard_layouts_are_observationally_equivalent(
         ops in proptest::collection::vec(arb_op(), 1..80),
@@ -168,17 +165,19 @@ proptest! {
         let mono = run_workload(&ops, seed, &fungus, ShardSpec::default());
         for shards in [1u64, 4, 16] {
             let rows_per_shard = (inserts / shards).max(1);
-            let spec = ShardSpec::new(rows_per_shard).with_workers(1);
+            let spec = ShardSpec::new(rows_per_shard);
             let sharded = run_workload(&ops, seed, &fungus, spec);
             prop_assert_eq!(
                 &mono, &sharded,
                 "layout with ~{} shards diverged from monolithic", shards
             );
         }
-        for (divisor, low_water) in [(4u64, 0.6), (8, 0.25)] {
-            let rows_per_shard = (inserts / divisor).max(1);
+        for (rows_per_shard, low_water) in [
+            ((inserts / 4).max(1), 0.6),
+            ((inserts / 8).max(1), 0.25),
+            ((inserts / 16).max(1) * 4, 0.6),
+        ] {
             let spec = ShardSpec::new(rows_per_shard)
-                .with_workers(1)
                 .with_adaptive()
                 .with_low_water(low_water);
             let adaptive = run_workload(&ops, seed, &fungus, spec);
@@ -186,23 +185,6 @@ proptest! {
                 &mono, &adaptive,
                 "adaptive layout (rows {}, low water {}) diverged from monolithic",
                 rows_per_shard, low_water
-            );
-        }
-        // The sweep pool on real threads: with more than one shard and
-        // more than one worker, eviction sweeps and freshness passes fan
-        // out across spawned workers, which must not move anything either.
-        let rows_per_shard = (inserts / 16).max(1);
-        for spec in [
-            ShardSpec::new(rows_per_shard).with_workers(2),
-            ShardSpec::new(rows_per_shard * 4)
-                .with_workers(3)
-                .with_adaptive()
-                .with_low_water(0.6),
-        ] {
-            let pooled = run_workload(&ops, seed, &fungus, spec);
-            prop_assert_eq!(
-                &mono, &pooled,
-                "pooled layout {:?} diverged from monolithic", spec
             );
         }
     }
@@ -222,7 +204,7 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 20..120),
         seed in 0u64..1_000,
     ) {
-        let adaptive = ShardSpec::new(6).with_workers(1).with_adaptive().with_low_water(0.5);
+        let adaptive = ShardSpec::new(6).with_adaptive().with_low_water(0.5);
         for spec in [adaptive, ShardSpec::default()] {
             let schema = Schema::from_pairs(&[("v", DataType::Int)]).unwrap();
             let policy = ContainerPolicy::new(FungusSpec::Egi(EgiConfig {

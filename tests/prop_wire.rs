@@ -198,7 +198,7 @@ proptest! {
 
         let resp = Response::Health {
             reports: vec![],
-            server: Some(summary),
+            server: Some(Box::new(summary)),
         };
         let bytes = resp.encode().unwrap();
         prop_assert_eq!(Response::decode(&bytes).unwrap(), resp);
