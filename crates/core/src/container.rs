@@ -372,14 +372,6 @@ impl Container {
         cell.publish(snapshot, self.distiller.clone());
         self.mvcc_dirty = false;
     }
-
-    /// The standard mutator epilogue: drain the cell's deferred-touch
-    /// queue into the live extent, then publish if anything changed.
-    pub fn drain_and_publish(&mut self, cell: &ContainerMvcc) {
-        let touches = cell.drain_touches();
-        self.apply_touches(&touches);
-        self.publish_into(cell);
-    }
 }
 
 impl std::fmt::Debug for Container {

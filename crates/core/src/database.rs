@@ -138,10 +138,14 @@ impl Database {
             action: Box::new(move |now| {
                 let evicted = {
                     let mut guard = task_target.write();
+                    // Reads queued since the last pass land before the
+                    // fungus judges the rows they read; this is the one
+                    // place deferred touches are applied.
+                    guard.apply_touches(&task_cell.drain_touches());
                     let evicted = guard.decay_tick_collect(now).1;
                     // Seal the post-sweep state before the lock drops: a
                     // decay sweep must never be visible half-applied.
-                    guard.drain_and_publish(&task_cell);
+                    guard.publish_into(&task_cell);
                     evicted
                 };
                 if !evicted.is_empty() {
@@ -277,7 +281,7 @@ impl Database {
         let now = self.now();
         let mut guard = c.write();
         let id = guard.insert(values, now)?;
-        guard.drain_and_publish(cell);
+        guard.publish_into(cell);
         Ok(id)
     }
 
@@ -287,7 +291,7 @@ impl Database {
         let now = self.now();
         let mut guard = c.write();
         let ids = guard.insert_batch(rows, now)?;
-        guard.drain_and_publish(cell);
+        guard.publish_into(cell);
         Ok(ids)
     }
 
@@ -306,7 +310,7 @@ impl Database {
                 let mut guard = c.write();
                 let inserted =
                     insert_literal_rows(rows, now, |values| guard.insert(values, now).map(drop))?;
-                guard.drain_and_publish(cell);
+                guard.publish_into(cell);
                 Ok(QueryOutcome {
                     result: ResultSet {
                         columns: vec!["inserted".into()],
@@ -340,7 +344,7 @@ impl Database {
                     guard.extent_mut(),
                     now,
                 )?;
-                guard.drain_and_publish(cell);
+                guard.publish_into(cell);
                 Ok(QueryOutcome {
                     result,
                     distilled: 0,
@@ -386,7 +390,7 @@ impl Database {
                     } else {
                         guard.extent_mut().create_index(&column)?;
                     }
-                    guard.drain_and_publish(cell);
+                    guard.publish_into(cell);
                 }
                 Ok(QueryOutcome {
                     result: ResultSet {
@@ -445,7 +449,7 @@ impl Database {
         let held = lock_first.then(|| {
             cell.note_consume_fallback();
             let mut guard = c.write();
-            guard.drain_and_publish(cell);
+            guard.publish_into(cell);
             guard
         });
         let version = cell.pin();
@@ -467,10 +471,6 @@ impl Database {
         if cell.epoch() != version.epoch() {
             return Ok(None);
         }
-        // Deferred touches only move access metadata, never answers; fold
-        // them into the same publish as the consume itself.
-        let touches = cell.drain_touches();
-        guard.apply_touches(&touches);
         let before = guard.metrics().distilled;
         let result = guard.apply_consume(result, &returned, now);
         let distilled = guard.metrics().distilled - before;
@@ -663,6 +663,11 @@ impl Database {
     /// Checkpoints every container into `dir`, plus a `MANIFEST` recording
     /// the clock, the policies, and the shard layouts, so a whole database
     /// can be restored with [`restore_checkpoint`](Self::restore_checkpoint).
+    ///
+    /// A checkpoint holds the access metadata applied up to each
+    /// container's last decay pass: touches that snapshot reads queued
+    /// since then are not in it (see "Deferred touches" in
+    /// [`crate::mvcc`]).
     ///
     /// Every container writes one `<name>.shard-<base>.snap` per resident
     /// shard and a `layout` manifest line carrying boundaries, summaries,
@@ -948,8 +953,8 @@ mod tests {
             let db = db_with(policy);
             db.execute("INSERT INTO r VALUES (1), (2), (3), (4), (5)")
                 .unwrap();
-            // Leave work for the attempt's prologue: touches queued by a
-            // snapshot read, and a serial query nobody published.
+            // Leave work for the attempt's prologue: a serial query nobody
+            // published (the snapshot read's touches wait for the tick).
             db.execute("SELECT v FROM r WHERE v > 3").unwrap();
             let (c, cell) = db.entry("r").unwrap();
             {
@@ -1598,6 +1603,56 @@ mod tests {
             "error must name the offending containers, got: {msg}"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `lease(3)`: a row read at tick 2, with no mutator after the read,
+    /// is still live at tick 4 and expires at tick 5, three ticks after
+    /// its last reader left.
+    #[test]
+    fn a_read_just_before_a_tick_renews_a_lease() {
+        let db = db_with(ContainerPolicy::new(FungusSpec::Lease { lease: 3 }));
+        db.execute("INSERT INTO r VALUES (1)").unwrap();
+        db.run_for(2);
+        let read = db.execute("SELECT v FROM r").unwrap();
+        assert_eq!(read.result.rows.len(), 1);
+        db.run_for(2);
+        let c = db.container("r").unwrap();
+        assert_eq!(c.read().live_count(), 1, "the read at tick 2 renewed it");
+        db.run_for(1);
+        assert_eq!(c.read().live_count(), 0, "expired 3 ticks after the read");
+    }
+
+    #[test]
+    fn snapshot_reads_land_at_the_next_tick_not_at_the_next_insert() {
+        let db = db_with(ContainerPolicy::immortal());
+        db.execute("INSERT INTO r VALUES (0), (1)").unwrap();
+        db.run_for(2);
+        for _ in 0..3 {
+            let read = db.execute("SELECT v FROM r WHERE v = 0").unwrap();
+            assert_eq!(read.result.rows.len(), 1);
+        }
+        db.execute("INSERT INTO r VALUES (2)").unwrap();
+        let c = db.container("r").unwrap();
+        let meta = |id| fungus_storage::DecaySurface::meta(c.read().extent(), TupleId(id)).unwrap();
+        assert_eq!(meta(0).access_count, 0, "an insert applies no touch");
+        db.tick();
+        assert_eq!(meta(0).access_count, 3);
+        assert_eq!(meta(0).last_access, Some(Tick(2)));
+        assert_eq!(meta(1).access_count, 0);
+    }
+
+    /// The health monitor's waste count sees a read that the very next
+    /// tick's eviction follows: only the row nobody read rotted unread.
+    #[test]
+    fn a_row_read_before_the_tick_that_evicts_it_did_not_rot_unread() {
+        let db = db_with(ContainerPolicy::new(FungusSpec::Retention { max_age: 1 }));
+        db.execute("INSERT INTO r VALUES (0), (1)").unwrap();
+        db.execute("SELECT v FROM r WHERE v = 0").unwrap();
+        db.tick();
+        let c = db.container("r").unwrap();
+        let stats = c.read().stats(db.now());
+        assert_eq!((stats.live_count, stats.evicted_rotted), (0, 2));
+        assert_eq!(stats.rotted_unread, 1);
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //! indexes, a touch or a decay step the segment holding the tuple, a
 //! delete that segment plus the shard's indexes, a consume or a rot sweep
 //! that absorbs additionally the pipelines. What still scales with the
-//! extent is a tick of a fungus that writes every live row (and the
-//! deferred touches of reads that returned rows from every segment): it
-//! un-shares every segment once — ROADMAP "Rot by arithmetic" (a) removes
-//! those writes.
+//! extent is a tick of a fungus that writes every live row, and the
+//! deferred touches of reads that returned rows from every segment: the
+//! tick un-shares every segment once — ROADMAP "Rot by arithmetic" (a)
+//! removes those writes. Since the touches land in the same pass (see
+//! below), no mutator between two ticks pays for them.
 //!
 //! ## `CONSUME` isolation
 //!
@@ -52,14 +53,18 @@
 //!
 //! Snapshot reads cannot bump access metadata (the snapshot is immutable
 //! and shared), so the returned ids are queued on the cell's `touches`
-//! queue; the next mutator drains the queue under the container lock and
-//! applies the touches to the live extent before doing its own work.
-//! Access metadata therefore lags reality by at most one mutation — the
-//! contract is the same with the bound below — acceptable for an
-//! importance signal, and documented as outside the serializability
-//! observable (`DESIGN.md`).
+//! queue. Access metadata exists to feed the decay clock, so the queue is
+//! drained in exactly one place: the container's decay pass, under the
+//! container write lock, *before* its fungus runs. A read is therefore
+//! applied by its container's next decay pass: the fungi that read
+//! access metadata (importance, lease) and the health monitor's
+//! rotted-unread count judge a row by every read queued before the tick,
+//! as they would under the serial executor, which touches at once. Inserts, deletes, `CONSUME`s, index builds and routed deliveries
+//! only publish; the queue is not theirs to drain. Between two ticks the
+//! live extent and the published versions carry the access metadata as
+//! of the last decay pass, and so does a checkpoint.
 //!
-//! Readers can queue faster than mutators drain, so the queue is bounded
+//! Readers queue for a whole decay period, so the queue is bounded
 //! by the extent rather than by a setting: once more touches wait
 //! unfolded than the reading version has live rows, the queue folds to
 //! one `(id, latest tick, reads)` entry per id, under the same `touches`
@@ -161,7 +166,7 @@ pub struct ContainerMvcc {
     /// Superseded versions awaiting their last reader, as weak refs.
     retired: OrderedMutex<Vec<Weak<Versioned>>>,
     /// Deferred access-metadata bumps queued by snapshot reads; drained
-    /// by the next mutator under the container lock.
+    /// by the container's next decay pass under the container lock.
     touches: OrderedMutex<TouchQueue>,
     published: AtomicU64,
     retired_total: AtomicU64,
@@ -272,9 +277,10 @@ impl ContainerMvcc {
         self.touches.lock().push(ids, at, live);
     }
 
-    /// Empties the deferred-touch queue. Callers hold the container write
-    /// lock and apply its [`entries`](TouchQueue::entries) to the live
-    /// extent (`CONTAINERS` 30 < `Mvcc.touches` 44 — ascending).
+    /// Empties the deferred-touch queue. Only the decay pass calls this:
+    /// it holds the container write lock and applies the
+    /// [`entries`](TouchQueue::entries) to the live extent before the
+    /// fungus runs (`CONTAINERS` 30 < `Mvcc.touches` 44 — ascending).
     pub(crate) fn drain_touches(&self) -> TouchQueue {
         std::mem::take(&mut *self.touches.lock())
     }
@@ -507,7 +513,10 @@ mod tests {
         cell.queue_touches(&[TupleId(1), TupleId(2)], Tick(7), 4);
         cell.queue_touches(&[], Tick(8), 4); // no-op
         cell.queue_touches(&[TupleId(3), TupleId(1)], Tick(9), 4);
-        let drained = |cell: &ContainerMvcc| cell.drain_touches().entries().collect::<Vec<_>>();
+        let drained = |cell: &ContainerMvcc| {
+            let queue = std::mem::take(&mut *cell.touches.lock());
+            queue.entries().collect::<Vec<_>>()
+        };
         assert_eq!(
             drained(&cell),
             vec![
@@ -527,22 +536,24 @@ mod tests {
         );
     }
 
-    /// K reads of the same L rows, faster than any mutator drains: the
-    /// queue stays within 2·L entries plus one read's ids (the unbounded
-    /// queue this replaced held K·L), and one drain lands every read.
+    /// K reads of the same L rows within one decay period: the queue
+    /// stays within 2·L entries plus one read's ids (the unbounded queue
+    /// this replaced held K·L), and the next decay pass lands every read.
     #[test]
     fn touch_queue_is_bounded_by_the_extent_and_loses_no_read() {
         const L: usize = 50;
         const K: u64 = 40;
         let values: Vec<i64> = (0..L as i64).collect();
-        let mut c = crate::Container::from_store(
+        let mut db = crate::Database::new(3);
+        let c = crate::Container::from_store(
             "t",
             store_with(&values),
             crate::ContainerPolicy::immortal(),
-            &fungus_clock::DeterministicRng::new(3),
+            db.rng(),
         )
         .unwrap();
-        let cell = c.open_cell();
+        db.adopt_container(c).unwrap();
+        let cell = db.pin_snapshot("t").unwrap().cell;
         let ids: Vec<TupleId> = (0..L as u64).map(TupleId).collect();
         let live = cell.pin().extent().live_count();
         assert_eq!(live, L);
@@ -560,8 +571,10 @@ mod tests {
                 entries()
             );
         }
-        c.drain_and_publish(&cell);
+        db.tick();
         let latest = Tick(*ticks.iter().max().unwrap());
+        let c = db.container("t").unwrap();
+        let c = c.read();
         for id in ids {
             let meta = fungus_storage::DecaySurface::meta(c.extent(), id).unwrap();
             assert_eq!(meta.access_count, K as u32, "{id}");

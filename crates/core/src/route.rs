@@ -113,7 +113,7 @@ impl Route {
         }
         // Seal what arrived before the target's lock drops, so snapshot
         // readers of the target see routed data as soon as it lands.
-        guard.drain_and_publish(&self.target_mvcc);
+        guard.publish_into(&self.target_mvcc);
         Ok(delivered)
     }
 }

@@ -6,7 +6,9 @@
 //! its **last read** (or insertion, if never read). Every query access
 //! implicitly renews the lease — popular data is immortal while it stays
 //! popular, and abandoned data expires exactly `lease` ticks after its
-//! final reader left.
+//! final reader left. That holds for snapshot reads too: their touches
+//! land at the start of the next decay pass, before this fungus runs
+//! (`fungus-core`'s `a_read_just_before_a_tick_renews_a_lease`).
 //!
 //! Contrast with [`ImportanceFungus`](crate::importance::ImportanceFungus):
 //! importance *modulates a rate* by access history; lease is a hard

@@ -80,8 +80,9 @@ pub mod hierarchy {
         rank: 30,
     };
     /// A container's deferred-touch queue: snapshot readers push access
-    /// write-backs here (under the catalog lock only); mutators drain it
-    /// under the container lock before applying their own change.
+    /// write-backs here (under the catalog lock only); the container's
+    /// decay pass drains it under the container lock before its fungus
+    /// runs.
     pub static MVCC_TOUCHES: LockClass = LockClass {
         name: "Mvcc.touches",
         rank: 44,

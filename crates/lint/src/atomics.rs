@@ -70,10 +70,13 @@ pub fn run(cfg: &Config, file: &SourceFile, findings: &mut Vec<Finding>) {
             continue;
         }
         let end = skip_balanced(code, i + 3, b'(', b')');
-        for j in i + 4..end.saturating_sub(1) {
-            if code[j].is_ident(src, "Relaxed") {
+        // A `(` that is the file's last token leaves `end - 1` short of
+        // `i + 4`: no arguments.
+        let args = code.get(i + 4..end.saturating_sub(1)).unwrap_or_default();
+        for (k, arg) in args.iter().enumerate() {
+            if arg.is_ident(src, "Relaxed") {
                 findings.extend(file.finding(
-                    j,
+                    i + 4 + k,
                     PASS,
                     format!(
                         "`Ordering::Relaxed` on audited atomic `{}.{}` — this value \

@@ -465,7 +465,7 @@ mod tests {
     impl Read for MemStream {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             self.reads += 1;
-            if self.block_every > 0 && self.reads % self.block_every == 0 {
+            if self.block_every > 0 && self.reads.is_multiple_of(self.block_every) {
                 return Err(io::Error::new(io::ErrorKind::WouldBlock, "scripted"));
             }
             if self.pos >= self.input.len() {

@@ -11,25 +11,32 @@
 //! that machinery may move an answer: every query's rows, every consumed
 //! set, and the surviving extent must match the serial run bit-for-bit.
 //!
-//! Deliberately *excluded* from the observables: the engine's query
-//! counter (pure snapshot reads are counted in MVCC telemetry, not
-//! `metrics.queries`) and per-tuple access metadata (snapshot reads defer
-//! touches to the next mutator, so `last_access` may lag by one mutation
-//! — the documented contract).
+//! Per-tuple access metadata is compared at tick boundaries. The oracle
+//! touches a row the moment it reads it; a snapshot read queues its
+//! touches and the decay pass applies them before its fungus runs. So
+//! after every tick each live row's read count, last access and
+//! freshness must match, and the property runs over the importance and
+//! lease fungi, which decay by that metadata, as well as over EGI.
+//! Between two ticks the MVCC run's metadata lags by design. The engine's
+//! query counter stays *excluded*: pure snapshot reads are counted in
+//! MVCC telemetry, not `metrics.queries`.
 //!
 //! A second property pins explicit [`SnapshotHandle`]s mid-history and
 //! reads them *later*, after more mutations: the delayed read must return
 //! exactly what the oracle answered at pin time. That is serializability
 //! in its sharpest form — the pinned read serializes at the pin point, no
-//! matter how far the live extent has rotted past it.
+//! matter how far the live extent has rotted past it. The oracle answers
+//! a pin without touching and lands the pinned read's touches, at the
+//! pin tick, when the delayed read is made; the MVCC run queues them
+//! then, for the next decay pass.
 
 use std::sync::{Arc, Weak};
 
 use proptest::prelude::*;
 
 use spacefungus::fungus_core::SnapshotHandle;
-use spacefungus::fungus_query::SelectStatement;
-use spacefungus::fungus_storage::Segment;
+use spacefungus::fungus_query::{execute_readonly, QueryExtent, SelectStatement};
+use spacefungus::fungus_storage::{DecaySurface, Segment};
 use spacefungus::prelude::*;
 
 /// One step of the interleaved workload.
@@ -76,7 +83,7 @@ fn layouts(inserts: u64) -> Vec<ShardSpec> {
     ]
 }
 
-fn fungus() -> FungusSpec {
+fn egi() -> FungusSpec {
     FungusSpec::Egi(EgiConfig {
         seeds_per_tick: 2,
         seed_bias: SeedBias::AgePow(2.0),
@@ -85,9 +92,23 @@ fn fungus() -> FungusSpec {
     })
 }
 
-fn build(seed: u64, spec: ShardSpec) -> Database {
+/// The fungi the serializability property runs over: EGI, and the two
+/// that decay by access metadata, so a touch landing late or twice moves
+/// which rows survive.
+fn fungi() -> [FungusSpec; 3] {
+    [
+        egi(),
+        FungusSpec::Importance {
+            base_rate: 0.25,
+            recency_shield: 3.0,
+        },
+        FungusSpec::Lease { lease: 3 },
+    ]
+}
+
+fn build(seed: u64, fungus: FungusSpec, spec: ShardSpec) -> Database {
     let schema = Schema::from_pairs(&[("v", DataType::Int)]).unwrap();
-    let policy = ContainerPolicy::new(fungus()).with_sharding(spec);
+    let policy = ContainerPolicy::new(fungus).with_sharding(spec);
     let mut db = Database::new(seed);
     db.create_container("t", schema, policy).unwrap();
     db
@@ -104,8 +125,12 @@ fn segments_of(pin: &SnapshotHandle) -> impl Iterator<Item = &Arc<Segment>> {
 /// The full-extent probe used for pinned reads and the survivor check.
 const SURVIVORS: &str = "SELECT $id, v FROM t WHERE v >= -50";
 
-/// Everything observable from one run. Access metadata and the engine
-/// query counter are deliberately absent (see module docs).
+/// One live row's access metadata: id, reads, last access, freshness
+/// bits.
+type RowAccess = (TupleId, u32, Option<Tick>, u64);
+
+/// Everything observable from one run. The engine query counter is
+/// deliberately absent (see module docs).
 #[derive(Debug, PartialEq)]
 struct Observed {
     /// Each query's answer rows, in program order (pinned reads
@@ -115,6 +140,8 @@ struct Observed {
     consumed: Vec<Vec<Vec<Value>>>,
     /// The surviving extent at the end.
     survivors: Vec<Vec<Value>>,
+    /// After every tick, each live row's access metadata, in id order.
+    access: Vec<Vec<RowAccess>>,
 }
 
 fn select_stmt(sql: &str) -> SelectStatement {
@@ -146,17 +173,62 @@ fn read(db: &Database, how: Reads, sql: &str) -> ResultSet {
     }
 }
 
-fn run_workload(ops: &[Op], seed: u64, how: Reads, spec: ShardSpec) -> Observed {
-    let db = build(seed, spec);
+/// The oracle's answer at a pin: read on the live extent under the
+/// container write lock, without touching, with the ids it returned.
+fn read_untouched(db: &Database, sql: &str) -> (ResultSet, Vec<TupleId>) {
+    let c = db.container("t").unwrap();
+    let guard = c.write();
+    let plan = guard.plan(&select_stmt(sql)).unwrap();
+    execute_readonly(&plan, guard.extent(), db.now()).unwrap()
+}
+
+/// The oracle's half of a delayed pinned read: one touch of each row the
+/// pin-time answer returned, at the pin tick (rows gone since are
+/// skipped, as a decay pass skips them).
+fn touch_at_pin(db: &Database, returned: &[TupleId], at: Tick) {
+    let c = db.container("t").unwrap();
+    let mut guard = c.write();
+    for &id in returned {
+        QueryExtent::touch_by(guard.extent_mut(), id, at, 1);
+    }
+}
+
+/// Each live row's access metadata, in id order.
+fn access_metadata(db: &Database) -> Vec<RowAccess> {
+    let c = db.container("t").unwrap();
+    let guard = c.read();
+    let mut rows = Vec::new();
+    guard.extent().for_each_live_meta(&mut |id, meta| {
+        rows.push((
+            id,
+            meta.access_count,
+            meta.last_access,
+            meta.freshness.get().to_bits(),
+        ));
+    });
+    rows.sort_unstable_by_key(|row| row.0);
+    rows
+}
+
+fn run_workload(
+    ops: &[Op],
+    seed: u64,
+    fungus: FungusSpec,
+    how: Reads,
+    spec: ShardSpec,
+) -> Observed {
+    let db = build(seed, fungus, spec);
     let mut out = Observed {
         answers: Vec::new(),
         consumed: Vec::new(),
         survivors: Vec::new(),
+        access: Vec::new(),
     };
-    // Outstanding pins, oldest first. The oracle holds no snapshot: it
-    // records the answer it gives at pin time, which is exactly the serial
-    // point the delayed snapshot read must land on.
-    let mut pins: Vec<(SnapshotHandle, Vec<Vec<Value>>)> = Vec::new();
+    // Outstanding pins, oldest first, each with the oracle's answer at pin
+    // time — exactly the serial point the delayed snapshot read must land
+    // on — and the ids that answer returned. The oracle never reads its
+    // own pin.
+    let mut pins: Vec<(SnapshotHandle, Vec<Vec<Value>>, Vec<TupleId>)> = Vec::new();
     for op in ops {
         match op {
             Op::Insert(v) => {
@@ -164,6 +236,7 @@ fn run_workload(ops: &[Op], seed: u64, how: Reads, spec: ShardSpec) -> Observed 
             }
             Op::Tick => {
                 db.run_for(1);
+                out.access.push(access_metadata(&db));
             }
             Op::Recent(back) => {
                 let floor = db.now().get().saturating_sub(*back);
@@ -182,16 +255,26 @@ fn run_workload(ops: &[Op], seed: u64, how: Reads, spec: ShardSpec) -> Observed 
             }
             Op::Pin => {
                 let handle = db.pin_snapshot("t").unwrap();
-                pins.push((handle, read(&db, how, SURVIVORS).rows));
+                let (at_pin, returned) = match how {
+                    Reads::Database => (Vec::new(), Vec::new()),
+                    Reads::Serial => {
+                        let (result, returned) = read_untouched(&db, SURVIVORS);
+                        (result.rows, returned)
+                    }
+                };
+                pins.push((handle, at_pin, returned));
             }
             Op::ReadPinned => {
                 if pins.is_empty() {
                     continue;
                 }
-                let (handle, at_pin) = pins.remove(0);
+                let (handle, at_pin, returned) = pins.remove(0);
                 out.answers.push(match how {
                     Reads::Database => handle.select(&select_stmt(SURVIVORS)).unwrap().rows,
-                    Reads::Serial => at_pin,
+                    Reads::Serial => {
+                        touch_at_pin(&db, &returned, handle.at());
+                        at_pin
+                    }
                 });
             }
         }
@@ -206,20 +289,24 @@ proptest! {
 
     /// The MVCC read/consume/decay machinery over one-shard, fixed-shard,
     /// and adaptive layouts observes the exact history of the serial
-    /// one-shard oracle, case after case.
+    /// one-shard oracle, access metadata at every tick included, under
+    /// EGI, importance and lease decay, case after case.
     #[test]
     fn mvcc_histories_serialize_against_the_locked_oracle(
         ops in proptest::collection::vec(arb_op(), 1..60),
         seed in 0u64..1_000,
     ) {
         let inserts = ops.iter().filter(|o| matches!(o, Op::Insert(_))).count() as u64;
-        let oracle = run_workload(&ops, seed, Reads::Serial, ShardSpec::default());
-        for spec in layouts(inserts) {
-            let mvcc = run_workload(&ops, seed, Reads::Database, spec);
-            prop_assert_eq!(
-                &oracle, &mvcc,
-                "mvcc layout {:?} diverged from the serial oracle", spec
-            );
+        for fungus in fungi() {
+            let oracle =
+                run_workload(&ops, seed, fungus.clone(), Reads::Serial, ShardSpec::default());
+            for spec in layouts(inserts) {
+                let mvcc = run_workload(&ops, seed, fungus.clone(), Reads::Database, spec);
+                prop_assert_eq!(
+                    &oracle, &mvcc,
+                    "{:?}: mvcc layout {:?} diverged from the serial oracle", fungus, spec
+                );
+            }
         }
     }
 }
@@ -244,7 +331,7 @@ proptest! {
             None => ShardSpec::default(),
             Some(rows) => ShardSpec::new(rows.max(1)),
         };
-        let db = build(seed, spec);
+        let db = build(seed, egi(), spec);
         let mut pins = Vec::new();
         let mut held = Vec::new();
         for op in &ops {
