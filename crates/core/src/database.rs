@@ -797,7 +797,10 @@ fn serde_json_parse<T: for<'de> serde::Deserialize<'de>>(s: &str) -> Result<T> {
 /// `"sharding":null`; dropping the key lets it default to the one-shard
 /// spec. A fungus variant the engine no longer has (the `Sequence` and
 /// `Periodic` combinators) is a corrupt checkpoint naming that variant,
-/// not a generic decode error.
+/// not a generic decode error. A distill pipeline naming a removed static
+/// summary restores as the fading kind at λ = 0 that replaced it:
+/// checkpoints carry only the spec, never sketch state, so the
+/// conversion is exact.
 fn parse_policy(name: &str, policy_json: &str) -> Result<ContainerPolicy> {
     use fungus_types::json::Json;
     let mut tree = fungus_types::json::parse(policy_json)?;
@@ -810,6 +813,22 @@ fn parse_policy(name: &str, policy_json: &str) -> Result<ContainerPolicy> {
                 return Err(FungusError::CorruptSnapshot(format!(
                     "container `{name}` names the removed fungus `{gone}`"
                 )));
+            }
+        }
+        if let Some(Json::Arr(pipelines)) = fields.get_mut("distill") {
+            for pipeline in pipelines {
+                let Json::Obj(pipeline) = pipeline else {
+                    continue;
+                };
+                let Some(Json::Obj(summary)) = pipeline.get_mut("summary") else {
+                    continue;
+                };
+                for (gone, kept) in [("Reservoir", "BiasedReservoir"), ("TopK", "FadingTopK")] {
+                    if let Some(Json::Obj(mut args)) = summary.remove(gone) {
+                        args.insert("lambda".into(), Json::Num(0.0));
+                        summary.insert(kept.into(), Json::Obj(args));
+                    }
+                }
             }
         }
     }
@@ -1505,6 +1524,54 @@ mod tests {
         std::fs::write(dir.join("MANIFEST"), old).unwrap();
         assert_eq!(restore(), current);
         assert_eq!(current.0, policy);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn restore_converts_the_removed_static_summaries_to_lambda_zero() {
+        // While the static sample and top-k had kinds of their own, a
+        // checkpoint spelled them `{"Reservoir":{"k":K}}` and
+        // `{"TopK":{"k":K}}`. They restore as the λ = 0 fading kinds the
+        // DDL builds for `sample(k)` and `topk(k)` today.
+        use fungus_summary::SummarySpec;
+        let mut db = Database::new(43);
+        db.execute_ddl(
+            "CREATE CONTAINER r (v INT) WITH FUNGUS ttl(20) \
+             WITH DISTILL (pick = sample(16) ON v, heavy = topk(8) ON v)",
+        )
+        .unwrap();
+        db.execute("INSERT INTO r VALUES (1), (2), (3)").unwrap();
+        let dir =
+            std::env::temp_dir().join(format!("fungus-summary-checkpoint-{}", std::process::id()));
+        db.checkpoint(&dir).unwrap();
+        let restore = || {
+            let mut restored = Database::new(43);
+            restored.restore_checkpoint(&dir).unwrap();
+            let c = restored.container("r").unwrap();
+            let policy = c.read().policy().clone();
+            policy
+        };
+        let current = restore();
+        assert_eq!(current, db.container("r").unwrap().read().policy().clone());
+
+        let manifest = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
+        let mut old = manifest.clone();
+        for (now, then) in [
+            (
+                SummarySpec::BiasedReservoir { k: 16, lambda: 0.0 },
+                r#"{"Reservoir":{"k":16}}"#,
+            ),
+            (
+                SummarySpec::FadingTopK { k: 8, lambda: 0.0 },
+                r#"{"TopK":{"k":8}}"#,
+            ),
+        ] {
+            let now = serde_json_lite(&now).unwrap();
+            assert_eq!(old.matches(&now).count(), 1, "{manifest}");
+            old = old.replace(&now, then);
+        }
+        std::fs::write(dir.join("MANIFEST"), old).unwrap();
+        assert_eq!(restore(), current);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -135,12 +135,15 @@ pub fn resolve_sharding(clause: &ShardingClause) -> Result<ShardSpec> {
 /// | `moments` | streaming count/sum/mean/variance/min/max |
 /// | `histogram(lo, hi, bins)` | equi-width histogram |
 /// | `equidepth(buckets, sample)` | equi-depth histogram |
-/// | `reservoir(k)` / `sample(k)` | uniform reservoir sample |
+/// | `reservoir(k)` / `sample(k)` | uniform sample: `tbs(k, 0)` |
 /// | `cms(epsilon, delta)` | Count-Min frequency sketch |
 /// | `distinct(precision)` / `hll(precision)` | HyperLogLog |
-/// | `topk(k)` | SpaceSaving heavy hitters |
+/// | `topk(k)` | heavy hitters: `fading_topk(k, 0)` |
 /// | `fading_topk(k, lambda)` | time-fading top-k (λ decay per tick) |
 /// | `tbs(k, lambda)` / `biased(k, lambda)` | temporally-biased sample |
+///
+/// The static sample and top-k are the λ = 0 cases of the fading kinds,
+/// so they resolve to those kinds with `lambda: 0.0`.
 ///
 /// Omitting `ON column` cooks the tuple's freshness-at-departure instead
 /// of an attribute. DDL pipelines fold *every* departure (trigger
@@ -158,8 +161,9 @@ pub fn resolve_distill(clause: &DistillClause) -> Result<DistillSpec> {
             buckets: arg(args, 0, "bucket count")? as usize,
             sample: arg(args, 1, "sample size")? as usize,
         },
-        "reservoir" | "sample" => SummarySpec::Reservoir {
+        "reservoir" | "sample" => SummarySpec::BiasedReservoir {
             k: arg(args, 0, "sample size")? as usize,
+            lambda: 0.0,
         },
         "cms" | "countmin" => SummarySpec::CountMin {
             epsilon: arg(args, 0, "additive error fraction")?,
@@ -168,8 +172,9 @@ pub fn resolve_distill(clause: &DistillClause) -> Result<DistillSpec> {
         "distinct" | "hll" => SummarySpec::Distinct {
             precision: arg(args, 0, "register precision (4-16)")? as u8,
         },
-        "topk" => SummarySpec::TopK {
-            k: arg(args, 0, "counter capacity")? as usize,
+        "topk" => SummarySpec::FadingTopK {
+            k: arg(args, 0, "heavy hitters to report")? as usize,
+            lambda: 0.0,
         },
         "fading_topk" => SummarySpec::FadingTopK {
             k: arg(args, 0, "heavy hitters to report")? as usize,
@@ -409,10 +414,11 @@ mod tests {
                            uniq = hll(10) ON a, \
                            freq = cms(0.01, 0.01) ON a, \
                            pick = sample(16) ON b, \
-                           exit_health = moments)",
+                           exit_health = moments, \
+                           keep = reservoir(8) ON a)",
         )
         .unwrap();
-        assert_eq!(policy.distill.len(), 9);
+        assert_eq!(policy.distill.len(), 10);
         assert_eq!(
             policy.distill[0].summary,
             SummarySpec::FadingTopK { k: 8, lambda: 0.05 }
@@ -424,8 +430,27 @@ mod tests {
                 lambda: 0.05
             }
         );
+        assert_eq!(
+            policy.distill[2].summary,
+            SummarySpec::FadingTopK { k: 8, lambda: 0.0 }
+        );
+        assert_eq!(
+            policy.distill[4].summary,
+            SummarySpec::EquiDepth {
+                buckets: 4,
+                sample: 64
+            }
+        );
+        assert_eq!(
+            policy.distill[7].summary,
+            SummarySpec::BiasedReservoir { k: 16, lambda: 0.0 }
+        );
         assert_eq!(policy.distill[8].summary, SummarySpec::Moments);
         assert_eq!(policy.distill[8].column, None);
+        assert_eq!(
+            policy.distill[9].summary,
+            SummarySpec::BiasedReservoir { k: 8, lambda: 0.0 }
+        );
         assert!(policy
             .distill
             .iter()

@@ -5,14 +5,15 @@
 //! each of the `b` buckets holds ≈ `n/b` observations, so resolution
 //! automatically concentrates where the data is. Exact equi-depth needs
 //! the sorted stream, which a decaying store no longer has — this
-//! implementation builds the boundaries from a deterministic reservoir
-//! sample, the standard approximation.
+//! implementation builds the boundaries from a deterministic uniform
+//! sample, the standard approximation: a [`BiasedReservoir`] at λ = 0,
+//! every arrival stamped tick 0.
 
 use serde::{Deserialize, Serialize};
 
 use fungus_types::{FungusError, Result, Value};
 
-use crate::reservoir::ReservoirSample;
+use crate::tbs::BiasedReservoir;
 
 /// An approximate equi-depth histogram over a numeric stream.
 ///
@@ -22,7 +23,7 @@ use crate::reservoir::ReservoirSample;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EquiDepthHistogram {
     buckets: usize,
-    reservoir: ReservoirSample,
+    reservoir: BiasedReservoir,
     count: u64,
 }
 
@@ -42,7 +43,7 @@ impl EquiDepthHistogram {
         }
         Ok(EquiDepthHistogram {
             buckets,
-            reservoir: ReservoirSample::new(sample_size, seed),
+            reservoir: BiasedReservoir::new(sample_size, 0.0, seed)?,
             count: 0,
         })
     }
@@ -53,7 +54,7 @@ impl EquiDepthHistogram {
             return;
         }
         self.count += 1;
-        self.reservoir.observe(Value::Float(x));
+        self.reservoir.observe_at(Value::Float(x), 0);
     }
 
     /// Total observations offered.
@@ -71,7 +72,7 @@ impl EquiDepthHistogram {
             .reservoir
             .sample()
             .iter()
-            .filter_map(Value::as_f64)
+            .filter_map(|(v, _)| v.as_f64())
             .collect();
         xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         xs
@@ -122,7 +123,7 @@ impl EquiDepthHistogram {
 
     /// Merges a histogram with the same bucket count (and an underlying
     /// reservoir of the same capacity and seed): the backing samples
-    /// merge via [`ReservoirSample::merge`] and the boundaries derive
+    /// merge via [`BiasedReservoir::merge`] and the boundaries derive
     /// from the combined sample on the next query. Inherits the
     /// reservoir merge's determinism and commutativity.
     pub fn merge(&mut self, other: &EquiDepthHistogram) -> Result<()> {

@@ -1,8 +1,8 @@
 //! Time-fading frequent items: a Count-Min / SpaceSaving hybrid.
 //!
-//! The static sketches in this crate answer "how often did `x` ever
-//! occur?". Under the paper's decay model the interesting question is
-//! "how often *recently*?" — the time-fading count
+//! A static sketch answers "how often did `x` ever occur?". Under the
+//! paper's decay model the interesting question is "how often
+//! *recently*?" — the time-fading count
 //!
 //! ```text
 //! C_T(x) = Σ over arrivals of x at tick t ≤ T of  w · e^(−λ·(T−t))
@@ -13,7 +13,9 @@
 //! *Mining frequent items in the time fading model*): a Count-Min array
 //! over fading counters for frequency estimates, fused with a
 //! SpaceSaving-style counter table over the same fading weights for
-//! top-k extraction.
+//! top-k extraction. At λ = 0 no weight fades and the counters are plain
+//! counts, so the crate has no separate static top-k: the DDL's `topk(k)`
+//! is this sketch at λ = 0.
 //!
 //! # The lazy decay trick
 //!
@@ -363,6 +365,16 @@ impl FadingSketch {
     /// Number of live heavy-hitter counters.
     pub fn tracked(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Count-Min array width.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Count-Min array depth.
+    pub fn depth(&self) -> usize {
+        self.depth
     }
 
     fn cell(&self, key: &Value, row: usize) -> usize {

@@ -13,12 +13,17 @@
 //! |---|---|---|
 //! | [`StreamingMoments`] | count / sum / mean / variance / min / max | O(1) |
 //! | [`EquiWidthHistogram`] | range counts, quantiles over a known domain | O(bins) |
-//! | [`ReservoirSample`] | arbitrary quantiles, sample-based anything | O(k) |
+//! | [`EquiDepthHistogram`] | equal-mass buckets, quantiles over any domain | O(sample) |
 //! | [`CountMinSketch`] | per-key frequencies (overestimate, ε/δ bounds) | O(w·d) |
 //! | [`HyperLogLog`] | distinct count (±1.04/√m) | O(2^p) |
-//! | [`SpaceSaving`] | top-k heavy hitters | O(k) |
 //! | [`FadingSketch`] | *time-fading* frequencies and top-k (λ decay/tick) | O(w·d + k) |
 //! | [`BiasedReservoir`] | recency-biased sample, `P[keep] ∝ e^(−λ·age)` | O(k) |
+//!
+//! Sampling and heavy hitters come in one family: the static answers are
+//! the λ = 0 case of the fading ones. A [`BiasedReservoir`] at λ = 0 is a
+//! uniform reservoir sample, and a [`FadingSketch`] at λ = 0 counts plainly
+//! (SpaceSaving over a Count-Min array), so the DDL's `sample(k)` and
+//! `topk(k)` build those.
 //!
 //! All summaries are mergeable (so per-epoch summaries can be rolled up)
 //! and deterministic: hashing uses seeded FNV-style functions, never
@@ -37,10 +42,8 @@ pub mod hash;
 pub mod histogram;
 pub mod hll;
 pub mod moments;
-pub mod reservoir;
 pub mod spec;
 pub mod tbs;
-pub mod topk;
 
 pub use cms::CountMinSketch;
 pub use equidepth::EquiDepthHistogram;
@@ -48,7 +51,5 @@ pub use fading::{FadingHitter, FadingSketch};
 pub use histogram::EquiWidthHistogram;
 pub use hll::HyperLogLog;
 pub use moments::StreamingMoments;
-pub use reservoir::ReservoirSample;
 pub use spec::{AnySummary, SummarySpec};
 pub use tbs::BiasedReservoir;
-pub use topk::SpaceSaving;

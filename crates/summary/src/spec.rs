@@ -15,9 +15,7 @@ use crate::fading::FadingSketch;
 use crate::histogram::EquiWidthHistogram;
 use crate::hll::HyperLogLog;
 use crate::moments::StreamingMoments;
-use crate::reservoir::ReservoirSample;
 use crate::tbs::BiasedReservoir;
-use crate::topk::SpaceSaving;
 
 /// A serialisable description of a summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -40,11 +38,6 @@ pub enum SummarySpec {
         /// Reservoir sample size the boundaries derive from.
         sample: usize,
     },
-    /// Uniform reservoir sample of `k` values.
-    Reservoir {
-        /// Sample size.
-        k: usize,
-    },
     /// Count-Min frequency sketch with (ε, δ) bounds.
     CountMin {
         /// Additive error fraction.
@@ -57,14 +50,10 @@ pub enum SummarySpec {
         /// Register precision (4–16).
         precision: u8,
     },
-    /// SpaceSaving top-k tracker.
-    TopK {
-        /// Counter capacity.
-        k: usize,
-    },
     /// Time-fading top-k: the Count-Min/SpaceSaving hybrid of
     /// [`FadingSketch`], answering "what is hot *now*" with per-counter
-    /// exponential decay at `lambda` per tick.
+    /// exponential decay at `lambda` per tick. At `lambda = 0` it is
+    /// plain top-k counting.
     FadingTopK {
         /// Heavy hitters to report (the sketch tracks `2k` counters).
         k: usize,
@@ -72,7 +61,8 @@ pub enum SummarySpec {
         lambda: f64,
     },
     /// Temporally-biased reservoir ([`BiasedReservoir`]): sample
-    /// inclusion probability proportional to `e^(−λ·age)`.
+    /// inclusion probability proportional to `e^(−λ·age)`. At
+    /// `lambda = 0` it is a uniform reservoir sample.
     BiasedReservoir {
         /// Sample size.
         k: usize,
@@ -92,14 +82,12 @@ impl SummarySpec {
             SummarySpec::EquiDepth { buckets, sample } => {
                 AnySummary::EquiDepth(EquiDepthHistogram::new(*buckets, *sample, seed)?)
             }
-            SummarySpec::Reservoir { k } => AnySummary::Reservoir(ReservoirSample::new(*k, seed)),
             SummarySpec::CountMin { epsilon, delta } => {
                 AnySummary::CountMin(CountMinSketch::with_error_bounds(*epsilon, *delta, seed)?)
             }
             SummarySpec::Distinct { precision } => {
                 AnySummary::Distinct(HyperLogLog::new(*precision, seed)?)
             }
-            SummarySpec::TopK { k } => AnySummary::TopK(SpaceSaving::new(*k)),
             SummarySpec::FadingTopK { k, lambda } => {
                 AnySummary::FadingTopK(FadingSketch::for_topk(*k, *lambda, seed)?)
             }
@@ -115,22 +103,11 @@ impl SummarySpec {
             SummarySpec::Moments => "moments".into(),
             SummarySpec::Histogram { bins, .. } => format!("hist-{bins}"),
             SummarySpec::EquiDepth { buckets, .. } => format!("eqdepth-{buckets}"),
-            SummarySpec::Reservoir { k } => format!("sample-{k}"),
             SummarySpec::CountMin { epsilon, .. } => format!("cms-{epsilon}"),
             SummarySpec::Distinct { precision } => format!("hll-{precision}"),
-            SummarySpec::TopK { k } => format!("topk-{k}"),
             SummarySpec::FadingTopK { k, lambda } => format!("fading-topk-{k}-l{lambda}"),
             SummarySpec::BiasedReservoir { k, lambda } => format!("tbs-{k}-l{lambda}"),
         }
-    }
-
-    /// True for the time-fading kinds, whose answers depend on the
-    /// query tick.
-    pub fn is_fading(&self) -> bool {
-        matches!(
-            self,
-            SummarySpec::FadingTopK { .. } | SummarySpec::BiasedReservoir { .. }
-        )
     }
 }
 
@@ -143,14 +120,10 @@ pub enum AnySummary {
     Histogram(EquiWidthHistogram),
     /// Equi-depth histogram.
     EquiDepth(EquiDepthHistogram),
-    /// Reservoir sample.
-    Reservoir(ReservoirSample),
     /// Count-Min sketch.
     CountMin(CountMinSketch),
     /// HyperLogLog.
     Distinct(HyperLogLog),
-    /// SpaceSaving.
-    TopK(SpaceSaving),
     /// Time-fading top-k hybrid.
     FadingTopK(FadingSketch),
     /// Temporally-biased reservoir.
@@ -191,10 +164,8 @@ impl AnySummary {
                     h.observe(x);
                 }
             }
-            AnySummary::Reservoir(r) => r.observe(value.clone()),
             AnySummary::CountMin(c) => c.observe(value),
             AnySummary::Distinct(h) => h.observe(value),
-            AnySummary::TopK(t) => t.observe(value),
             AnySummary::FadingTopK(f) => f.observe_at(value, now),
             AnySummary::Biased(b) => b.observe_at(value.clone(), now),
         }
@@ -207,11 +178,9 @@ impl AnySummary {
             AnySummary::Moments(m) => m.count(),
             AnySummary::Histogram(h) => h.count(),
             AnySummary::EquiDepth(h) => h.count(),
-            AnySummary::Reservoir(r) => r.seen(),
             AnySummary::CountMin(c) => c.total(),
             // HLL does not track a raw count; report its estimate.
             AnySummary::Distinct(h) => h.estimate() as u64,
-            AnySummary::TopK(t) => t.total(),
             AnySummary::FadingTopK(f) => f.total(),
             AnySummary::Biased(b) => b.seen(),
         }
@@ -223,19 +192,11 @@ impl AnySummary {
             AnySummary::Moments(_) => "moments",
             AnySummary::Histogram(_) => "histogram",
             AnySummary::EquiDepth(_) => "equi-depth",
-            AnySummary::Reservoir(_) => "reservoir",
             AnySummary::CountMin(_) => "count-min",
             AnySummary::Distinct(_) => "distinct",
-            AnySummary::TopK(_) => "top-k",
             AnySummary::FadingTopK(_) => "fading-topk",
             AnySummary::Biased(_) => "biased-reservoir",
         }
-    }
-
-    /// True for the time-fading kinds, whose answers depend on the
-    /// query tick.
-    pub fn is_fading(&self) -> bool {
-        matches!(self, AnySummary::FadingTopK(_) | AnySummary::Biased(_))
     }
 
     /// Merges a summary built from the same spec and seed. Every kind
@@ -250,10 +211,8 @@ impl AnySummary {
             }
             (AnySummary::Histogram(a), AnySummary::Histogram(b)) => a.merge(b),
             (AnySummary::EquiDepth(a), AnySummary::EquiDepth(b)) => a.merge(b),
-            (AnySummary::Reservoir(a), AnySummary::Reservoir(b)) => a.merge(b),
             (AnySummary::CountMin(a), AnySummary::CountMin(b)) => a.merge(b),
             (AnySummary::Distinct(a), AnySummary::Distinct(b)) => a.merge(b),
-            (AnySummary::TopK(a), AnySummary::TopK(b)) => a.merge(b),
             (AnySummary::FadingTopK(a), AnySummary::FadingTopK(b)) => a.merge(b),
             (AnySummary::Biased(a), AnySummary::Biased(b)) => a.merge(b),
             _ => Err(FungusError::SummaryError(
@@ -307,14 +266,6 @@ impl AnySummary {
                     })
                     .unwrap_or_default(),
             ),
-            AnySummary::Reservoir(r) => (
-                vec!["idx".into(), "value".into()],
-                r.sample()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, v)| vec![Value::Int(i as i64), v.clone()])
-                    .collect(),
-            ),
             AnySummary::CountMin(c) => (
                 vec!["stat".into(), "value".into()],
                 vec![
@@ -329,21 +280,6 @@ impl AnySummary {
                     stat("estimate", Value::Float(h.estimate())),
                     stat("registers", Value::Int(h.registers() as i64)),
                 ],
-            ),
-            AnySummary::TopK(t) => (
-                vec!["rank".into(), "key".into(), "count".into(), "error".into()],
-                t.top(t.tracked())
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, h)| {
-                        vec![
-                            Value::Int(i as i64 + 1),
-                            h.key,
-                            Value::Int(h.count as i64),
-                            Value::Int(h.error as i64),
-                        ]
-                    })
-                    .collect(),
             ),
             AnySummary::FadingTopK(f) => (
                 vec!["rank".into(), "key".into(), "weight".into(), "error".into()],
@@ -395,13 +331,11 @@ mod tests {
                 buckets: 4,
                 sample: 64,
             },
-            SummarySpec::Reservoir { k: 8 },
             SummarySpec::CountMin {
                 epsilon: 0.01,
                 delta: 0.01,
             },
             SummarySpec::Distinct { precision: 10 },
-            SummarySpec::TopK { k: 4 },
             SummarySpec::FadingTopK { k: 4, lambda: 0.1 },
             SummarySpec::BiasedReservoir { k: 8, lambda: 0.1 },
         ];
@@ -476,15 +410,18 @@ mod tests {
         let other = SummarySpec::Moments.build(0).unwrap();
         assert!(a.merge(&other).is_err());
         // Reservoirs merge too (same spec, same seed).
-        let mut r1 = SummarySpec::Reservoir { k: 4 }.build(0).unwrap();
-        let mut r2 = SummarySpec::Reservoir { k: 4 }.build(0).unwrap();
+        let sample = SummarySpec::BiasedReservoir { k: 4, lambda: 0.0 };
+        let mut r1 = sample.build(0).unwrap();
+        let mut r2 = sample.build(0).unwrap();
         for i in 0..10i64 {
             r2.observe(&Value::Int(i));
         }
         r1.merge(&r2).unwrap();
         assert_eq!(r1.observed(), 10);
         // But not across kinds.
-        let t = SummarySpec::TopK { k: 4 }.build(0).unwrap();
+        let t = SummarySpec::FadingTopK { k: 4, lambda: 0.0 }
+            .build(0)
+            .unwrap();
         assert!(r1.merge(&t).is_err());
     }
 
@@ -503,16 +440,11 @@ mod tests {
         let (columns, rows) = f.report(30);
         assert_eq!(columns, vec!["rank", "key", "weight", "error"]);
         assert_eq!(rows[0][1], Value::from("new"), "decay reorders the top");
-        assert!(f.is_fading());
-        assert!(!SummarySpec::TopK { k: 2 }.build(0).unwrap().is_fading());
-        assert!(SummarySpec::FadingTopK { k: 2, lambda: 0.5 }.is_fading());
-        assert!(!SummarySpec::Moments.is_fading());
     }
 
     #[test]
     fn labels_are_stable() {
         assert_eq!(SummarySpec::Moments.label(), "moments");
-        assert_eq!(SummarySpec::TopK { k: 5 }.label(), "topk-5");
         assert_eq!(
             SummarySpec::FadingTopK { k: 5, lambda: 0.1 }.label(),
             "fading-topk-5-l0.1"

@@ -1,9 +1,9 @@
 //! Temporally-biased reservoir sampling.
 //!
-//! A uniform reservoir ([`crate::reservoir::ReservoirSample`]) treats a
-//! ten-tick-old observation and a ten-thousand-tick-old one alike; a
-//! model trained on such a sample goes stale exactly as fast as the
-//! container under it rots. [`BiasedReservoir`] implements the
+//! A uniform reservoir sample treats a ten-tick-old observation and a
+//! ten-thousand-tick-old one alike; a model trained on such a sample goes
+//! stale exactly as fast as the container under it rots.
+//! [`BiasedReservoir`] implements the
 //! exponential time-bias of Hentschel, Haas and Tian's R-TBS
 //! (*Temporally-Biased Sampling Schemes for Online Model Management*):
 //! the probability that an item of age `A` is in the sample is
@@ -25,18 +25,25 @@
 //! inclusion probability obeys `P[i ∈ S] ≈ k·e^(−λ·age_i) / Σ_j
 //! e^(−λ·age_j)` (exact for λ = 0, where this degenerates to a uniform
 //! reservoir; the approximation error is the usual weighted-sampling-
-//! without-replacement correction, vanishing for `k ≪ n`).
+//! without-replacement correction, vanishing for `k ≪ n`). The crate has
+//! no other sampler: the DDL's `sample(k)` and the equi-depth histogram's
+//! boundary sample are this reservoir at λ = 0.
 //!
-//! Determinism mirrors the uniform reservoir: draws come from a seeded
-//! `SmallRng`, a deserialised instance re-derives its stream from
-//! `(seed, seen)`, and scores are data — they serialise with the item,
-//! so membership survives round trips bit-for-bit.
+//! Draws come from a seeded `SmallRng` mixed with a seeded hash of the
+//! arrival's `(value, tick)`, a deserialised instance re-derives its
+//! stream from `(seed, seen)`, and scores are data — they serialise with
+//! the item, so membership survives round trips bit-for-bit. The hash is
+//! what keeps a merge honest: two same-seed reservoirs draw the same rng
+//! sequence, so without it the i-th arrivals of both sides would share a
+//! score and the merged sample would keep them in pairs.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Deserializer, Serialize};
 
 use fungus_types::{FungusError, Result, Value};
+
+use crate::hash::hash_value;
 
 /// One sampled item: the Efraimidis–Spirakis score (smaller is
 /// better), the arrival tick, and the value.
@@ -125,7 +132,9 @@ impl BiasedReservoir {
         self.seen += 1;
         // 53-bit uniform in (0,1): the +0.5 keeps u strictly inside the
         // open interval so both logs are finite.
-        let u = ((self.rng.gen::<u64>() >> 11) as f64 + 0.5) / 9_007_199_254_740_992.0;
+        let bits = self.rng.gen::<u64>()
+            ^ hash_value(&value, self.seed ^ now.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let u = ((bits >> 11) as f64 + 0.5) / 9_007_199_254_740_992.0;
         let score = (-u.ln()).ln() - self.lambda * now as f64;
         let item = TbsItem {
             score,
@@ -346,6 +355,35 @@ mod tests {
         assert!(d.merge(&a).is_err());
         let mut e = BiasedReservoir::new(7, 0.05, 9).unwrap();
         assert!(e.merge(&a).is_err());
+    }
+
+    #[test]
+    fn same_seed_merge_does_not_pair_index_twins() {
+        // Both sides of a merge share one seed, so they draw the same
+        // rng sequence; at λ = 0 the i-th arrival of each would get the
+        // same score unless the draw also depends on the arrival. Count
+        // merged samples holding both `i` and its twin `i + 500`: over
+        // 500 candidate pairs, independent draws predict 500 · (50/1000)²
+        // ≈ 1.25 per seed, where shared scores would make all 25 twins.
+        let mut twins = 0;
+        for seed in 0..20u64 {
+            let build = |range: std::ops::Range<u64>| {
+                let mut r = BiasedReservoir::new(50, 0.0, seed).unwrap();
+                for t in range {
+                    r.observe_at(Value::Int(t as i64), t);
+                }
+                r
+            };
+            let mut ab = build(0..500);
+            ab.merge(&build(500..1000)).unwrap();
+            let held: std::collections::BTreeSet<i64> =
+                ab.sample().iter().filter_map(|(v, _)| v.as_i64()).collect();
+            twins += held
+                .iter()
+                .filter(|&&i| i < 500 && held.contains(&(i + 500)))
+                .count();
+        }
+        assert!(twins < 75, "{twins} index twins in 20 merged samples");
     }
 
     #[test]

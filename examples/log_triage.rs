@@ -35,7 +35,8 @@ fn main() -> Result<()> {
     .with_distiller(DistillSpec {
         name: "noisy-services".into(),
         column: Some("service".into()),
-        summary: SummarySpec::TopK { k: 8 },
+        // λ = 0: a plain top-k that never forgets, what `topk(8)` builds.
+        summary: SummarySpec::FadingTopK { k: 8, lambda: 0.0 },
         trigger: DistillTrigger::Both,
     });
     db.create_container("logs", logs.schema().clone(), policy)?;
@@ -76,10 +77,10 @@ fn main() -> Result<()> {
             h.count()
         );
     }
-    if let Some(AnySummary::TopK(t)) = guard.distiller().summary("noisy-services") {
+    if let Some(AnySummary::FadingTopK(t)) = guard.distiller().summary("noisy-services") {
         println!("noisiest services       :");
-        for hit in t.top(3) {
-            println!("  {:<8} ≈{} events", hit.key.to_string(), hit.count);
+        for hit in t.top_at(3, db.now().get()) {
+            println!("  {:<8} ≈{:.0} events", hit.key.to_string(), hit.weight);
         }
     }
 

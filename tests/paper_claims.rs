@@ -534,12 +534,13 @@ fn summary_bytes(s: &AnySummary) -> usize {
     match s {
         AnySummary::Moments(_) => 48,
         AnySummary::Histogram(h) => h.bins().len() * 8 + 32,
-        AnySummary::EquiDepth(h) => h.buckets() * 8 + 4096 + 32, // sample-backed
-        AnySummary::Reservoir(r) => r.capacity() * 16 + 32,
+        // Boundaries plus E7's 512-item λ = 0 biased sample.
+        AnySummary::EquiDepth(h) => h.buckets() * 8 + 512 * 24 + 32,
         AnySummary::CountMin(c) => c.width() * c.depth() * 8 + 32,
         AnySummary::Distinct(h) => h.registers() + 16,
-        AnySummary::TopK(t) => t.tracked() * 32 + 16,
-        AnySummary::FadingTopK(f) => f.capacity() * 48 + 32, // counter + stamp + key
+        // Counter + stamp + key per hitter, plus the Count-Min array's
+        // fading (count, stamp) cells.
+        AnySummary::FadingTopK(f) => f.capacity() * 48 + f.width() * f.depth() * 16 + 32,
         AnySummary::Biased(r) => r.capacity() * 24 + 32,
     }
 }
@@ -547,7 +548,8 @@ fn summary_bytes(s: &AnySummary) -> usize {
 /// **E7 — Cooking accuracy.** Summaries preserve answers after the raw
 /// data rots: each scheme is fed a zipfian stream, the stream is then
 /// discarded, and the summary answers its question against exact truth
-/// computed before the discard.
+/// computed before the discard. The reservoir and top-k rows are the
+/// fading kinds at λ = 0, what the DDL's `sample(k)` and `topk(k)` build.
 fn e7(scale: Scale) -> Table {
     let n = scale.pick(100_000usize, 2_000);
     let keys = scale.pick(1_000usize, 50);
@@ -587,13 +589,16 @@ fn e7(scale: Scale) -> Table {
             buckets: 32,
             sample: 512,
         },
-        SummarySpec::Reservoir { k: 256 },
+        SummarySpec::BiasedReservoir {
+            k: 256,
+            lambda: 0.0,
+        },
         SummarySpec::CountMin {
             epsilon: 0.001,
             delta: 0.01,
         },
         SummarySpec::Distinct { precision: 12 },
-        SummarySpec::TopK { k: 32 },
+        SummarySpec::FadingTopK { k: 32, lambda: 0.0 },
     ];
     let mut built: Vec<AnySummary> = specs
         .iter()
@@ -606,7 +611,7 @@ fn e7(scale: Scale) -> Table {
                 AnySummary::Moments(_)
                 | AnySummary::Histogram(_)
                 | AnySummary::EquiDepth(_)
-                | AnySummary::Reservoir(_) => summary.observe(&val),
+                | AnySummary::Biased(_) => summary.observe(&val),
                 _ => summary.observe(&key),
             }
         }
@@ -634,7 +639,7 @@ fn e7(scale: Scale) -> Table {
             AnySummary::EquiDepth(h) => {
                 vec![("equi-depth", "median", median, h.quantile(0.5).unwrap())]
             }
-            AnySummary::Reservoir(r) => {
+            AnySummary::Biased(r) => {
                 vec![("reservoir", "median", median, r.quantile(0.5).unwrap())]
             }
             AnySummary::CountMin(c) => vec![(
@@ -646,15 +651,12 @@ fn e7(scale: Scale) -> Table {
             AnySummary::Distinct(h) => {
                 vec![("hyperloglog", "distinct keys", distinct, h.estimate())]
             }
-            AnySummary::TopK(t) => vec![(
+            AnySummary::FadingTopK(t) => vec![(
                 "top-k",
                 "hot key freq",
                 hot_count,
-                t.estimate(&hot_key) as f64,
+                t.estimate_at(&hot_key, 0),
             )],
-            // The time-fading schemes answer a time-weighted question;
-            // E14 scores them against the exact decayed truth.
-            AnySummary::FadingTopK(_) | AnySummary::Biased(_) => vec![],
         };
         for (scheme, question, truth, estimate) in answers {
             let rel = if truth == 0.0 {

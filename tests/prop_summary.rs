@@ -6,12 +6,14 @@ use proptest::prelude::*;
 use spacefungus::fungus_clock::DeterministicRng;
 use spacefungus::fungus_storage::TableStore;
 use spacefungus::fungus_summary::{
-    CountMinSketch, HyperLogLog, SpaceSaving, StreamingMoments, SummarySpec,
+    CountMinSketch, FadingSketch, HyperLogLog, StreamingMoments, SummarySpec,
 };
 use spacefungus::prelude::*;
 
 /// One instance of every [`SummarySpec`] variant, sized small enough that
-/// merges exercise the over-capacity paths.
+/// merges exercise the over-capacity paths. The two fading kinds appear
+/// twice: at λ = 0, which is what the DDL's `sample(k)` and `topk(k)`
+/// build, and decaying.
 fn all_specs() -> Vec<SummarySpec> {
     vec![
         SummarySpec::Moments,
@@ -24,13 +26,13 @@ fn all_specs() -> Vec<SummarySpec> {
             buckets: 4,
             sample: 16,
         },
-        SummarySpec::Reservoir { k: 12 },
+        SummarySpec::BiasedReservoir { k: 12, lambda: 0.0 },
         SummarySpec::CountMin {
             epsilon: 0.05,
             delta: 0.05,
         },
         SummarySpec::Distinct { precision: 6 },
-        SummarySpec::TopK { k: 6 },
+        SummarySpec::FadingTopK { k: 6, lambda: 0.0 },
         SummarySpec::FadingTopK { k: 6, lambda: 0.1 },
         SummarySpec::BiasedReservoir { k: 12, lambda: 0.1 },
     ]
@@ -148,30 +150,31 @@ proptest! {
         }
     }
 
-    /// SpaceSaving: every key with true frequency > N/k is reported.
+    /// SpaceSaving (the fading sketch at λ = 0): every key with true
+    /// frequency > N/capacity is reported, and never underestimated.
     #[test]
     fn space_saving_finds_heavy_hitters(
         noise in proptest::collection::vec(10i64..1000, 0..200),
         hot_reps in 50usize..150,
     ) {
-        let mut s = SpaceSaving::new(20);
+        let mut s = FadingSketch::new(20, 64, 4, 0.0, 3).unwrap();
         let mut n = 0u64;
-        for k in &noise {
-            s.observe(&Value::Int(*k));
+        for (t, k) in noise.iter().enumerate() {
+            s.observe_at(&Value::Int(*k), t as u64);
             n += 1;
         }
         for _ in 0..hot_reps {
-            s.observe(&Value::Int(1));
+            s.observe_at(&Value::Int(1), n);
             n += 1;
         }
         // The hot key has frequency hot_reps ≥ 50 > N/20 when N ≤ 350.
         if u64::from(u32::try_from(hot_reps).unwrap()) > n / 20 {
-            let top = s.top(20);
+            let top = s.top_at(20, n);
             prop_assert!(
                 top.iter().any(|h| h.key == Value::Int(1)),
                 "hot key must be tracked"
             );
-            prop_assert!(s.estimate(&Value::Int(1)) >= hot_reps as u64);
+            prop_assert!(s.estimate_at(&Value::Int(1), n) >= hot_reps as f64);
         }
     }
 
