@@ -638,28 +638,6 @@ impl Database {
             .collect()
     }
 
-    /// Saves a container's extent to a snapshot file in the monolithic
-    /// format (the logical state is layout-independent), so snapshots stay
-    /// portable across layouts; the loading policy re-shards on restore.
-    pub fn save_container(&self, name: &str, path: impl AsRef<std::path::Path>) -> Result<()> {
-        let c = self.container(name)?;
-        let guard = c.read();
-        fungus_storage::save_to_file(&guard.extent().to_monolithic()?, path)
-    }
-
-    /// Loads a container extent from a snapshot file and adopts it under
-    /// `name` with the given policy.
-    pub fn load_container(
-        &mut self,
-        name: &str,
-        path: impl AsRef<std::path::Path>,
-        policy: ContainerPolicy,
-    ) -> Result<()> {
-        let store = fungus_storage::load_from_file(path)?;
-        let container = Container::from_store(name, store, policy, &self.rng)?;
-        self.adopt_container(container)
-    }
-
     /// Checkpoints every container into `dir`, plus a `MANIFEST` recording
     /// the clock, the policies, and the shard layouts, so a whole database
     /// can be restored with [`restore_checkpoint`](Self::restore_checkpoint).
@@ -752,7 +730,7 @@ impl Database {
         }
         for (name, policy_json) in containers {
             let policy = parse_policy(&name, &policy_json)?;
-            match layouts.remove(&name) {
+            let container = match layouts.remove(&name) {
                 Some(layout_json) => {
                     let layout: fungus_shard::ShardLayoutManifest = serde_json_parse(&layout_json)?;
                     let mut stores = Vec::with_capacity(layout.shards.len());
@@ -761,16 +739,17 @@ impl Database {
                             dir.join(format!("{name}.shard-{}.snap", record.base)),
                         )?);
                     }
-                    let container =
-                        Container::from_sharded_parts(&name, &layout, stores, policy, &self.rng)?;
-                    self.adopt_container(container)?;
+                    Container::from_sharded_parts(&name, &layout, stores, policy, &self.rng)?
                 }
                 // Checkpoints written before every container carried a
-                // layout line keep one monolithic `<name>.snap`.
+                // layout line keep one monolithic `<name>.snap`; nothing
+                // writes that file any more.
                 None => {
-                    self.load_container(&name, dir.join(format!("{name}.snap")), policy)?;
+                    let store = fungus_storage::load_from_file(dir.join(format!("{name}.snap")))?;
+                    Container::from_store(&name, store, policy, &self.rng)?
                 }
-            }
+            };
+            self.adopt_container(container)?;
         }
         if let Some(name) = layouts.into_keys().next() {
             return Err(FungusError::CorruptSnapshot(format!(
@@ -1115,21 +1094,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrip_through_files() {
-        let mut db = db_with(ContainerPolicy::immortal());
-        db.execute("INSERT INTO r VALUES (1), (2), (3)").unwrap();
-        let dir = std::env::temp_dir().join("fungus-db-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("c-{}.snap", std::process::id()));
-        db.save_container("r", &path).unwrap();
-        db.load_container("r2", &path, ContainerPolicy::immortal())
-            .unwrap();
-        let out = db.execute("SELECT COUNT(*) FROM r2").unwrap();
-        assert_eq!(out.result.scalar().unwrap(), &Value::Int(3));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn same_seed_reproduces_the_whole_run() {
         let run = |seed: u64| {
             let mut db = Database::new(seed);
@@ -1429,8 +1393,11 @@ mod tests {
             use fungus_storage::DecaySurface;
             let c = db.container("r").unwrap();
             let mut g = c.write();
-            let id = fungus_query::QueryExtent::live_ids(g.extent())[0];
-            DecaySurface::decay(g.extent_mut(), id, 0.01).unwrap();
+            let mut first = None;
+            g.extent().for_each_live_meta(&mut |id, _| {
+                first.get_or_insert(id);
+            });
+            DecaySurface::decay(g.extent_mut(), first.unwrap(), 0.01).unwrap();
         }
         let structure_before = {
             let c = db.container("r").unwrap();
@@ -1590,7 +1557,16 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("fungus-legacy-checkpoint-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        db.save_container("r", dir.join("r.snap")).unwrap();
+        // Without a sharding clause the extent is one shard, whose store
+        // is the whole monolithic file.
+        let c = db.container("r").unwrap();
+        assert_eq!(c.read().shard_count(), 1);
+        c.read()
+            .extent()
+            .for_each_shard_store(|_, store| {
+                fungus_storage::save_to_file(store, dir.join("r.snap"))
+            })
+            .unwrap();
         let spec_json = serde_json_lite(&policy.sharding).unwrap();
         let policy_json = serde_json_lite(&policy).unwrap();
         let legacy_json = policy_json.replace(

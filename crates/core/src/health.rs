@@ -84,16 +84,6 @@ impl HealthMonitor {
         Self::default()
     }
 
-    /// A monitor with custom weights (normalised internally).
-    pub fn with_weights(waste: f64, rotten: f64, infection: f64) -> Self {
-        let total = (waste + rotten + infection).max(1e-9);
-        HealthMonitor {
-            waste_weight: waste / total,
-            rotten_weight: rotten / total,
-            infection_weight: infection / total,
-        }
-    }
-
     /// Scores one container at `now`.
     pub fn inspect(&self, container: &Container, now: Tick) -> HealthReport {
         let stats = container.stats(now);
@@ -255,17 +245,6 @@ mod tests {
             .recommendations
             .iter()
             .any(|r| r.contains("rot spots")));
-    }
-
-    #[test]
-    fn weights_normalise() {
-        let m = HealthMonitor::with_weights(2.0, 1.0, 1.0);
-        let c = container(ContainerPolicy::immortal());
-        let r = m.inspect(&c, Tick(0));
-        assert!(
-            (r.score - 1.0).abs() < 1e-9,
-            "clean store scores 1 under any weights"
-        );
     }
 
     #[test]

@@ -8,8 +8,6 @@ use serde::{Deserialize, Serialize};
 pub struct EngineMetrics {
     /// Tuples inserted.
     pub inserts: u64,
-    /// Queries executed (SELECT, consuming or not).
-    pub queries: u64,
     /// Consuming queries executed.
     pub consuming_queries: u64,
     /// Tuples consumed by queries.

@@ -222,8 +222,15 @@ mod tests {
         assert_eq!(tgt.read().live_count(), 0);
         // Rotted departures flow, projected and reordered.
         assert_eq!(route.deliver(&departures, true, Tick(2)).unwrap(), 1);
-        let store = tgt.read().extent().to_monolithic().unwrap();
-        let row = store.iter_live().next().unwrap();
+        let mut rows = Vec::new();
+        tgt.read()
+            .extent()
+            .for_each_shard_store(|_, store| {
+                rows.extend(store.iter_live().cloned());
+                Ok(())
+            })
+            .unwrap();
+        let row = &rows[0];
         assert_eq!(row.values.to_vec(), vec![Value::Float(1.5), Value::Int(7)]);
         assert_eq!(
             row.meta.inserted_at,

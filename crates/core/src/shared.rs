@@ -47,17 +47,6 @@ impl SharedDatabase {
         }
     }
 
-    /// Adopts an already-shared database.
-    pub fn from_arc(inner: Arc<OrderedRwLock<Database>>) -> Self {
-        SharedDatabase { inner }
-    }
-
-    /// The underlying shared lock (escape hatch for callers that need a
-    /// guard across several operations).
-    pub fn as_arc(&self) -> &Arc<OrderedRwLock<Database>> {
-        &self.inner
-    }
-
     /// Read access to the database (queries, health, clock).
     pub fn read(&self) -> OrderedRwLockReadGuard<'_, Database> {
         self.inner.read()

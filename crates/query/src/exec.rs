@@ -1247,7 +1247,7 @@ mod tests {
     }
 
     #[test]
-    fn freshness_weighted_aggregates() {
+    fn fcount_fsum_favg_weight_rows_by_freshness() {
         let mut t = table(); // 12 rows, all fully fresh
                              // Fully fresh: FCOUNT == COUNT, FAVG == AVG.
         let r = run("SELECT FCOUNT(*), FAVG(v), FSUM(v) FROM s", &mut t);

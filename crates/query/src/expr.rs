@@ -340,11 +340,6 @@ impl AggFunc {
             AggFunc::FAvg => "FAVG",
         }
     }
-
-    /// Whether the function weights its input by tuple freshness.
-    pub fn freshness_weighted(self) -> bool {
-        matches!(self, AggFunc::FCount | AggFunc::FSum | AggFunc::FAvg)
-    }
 }
 
 /// A column reference the planner resolved to its position in the schema

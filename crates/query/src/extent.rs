@@ -118,9 +118,6 @@ pub trait QueryExtent: ReadExtent {
     /// Validates and appends a row at `now`.
     fn insert(&mut self, values: Vec<Value>, now: Tick) -> Result<TupleId>;
 
-    /// Ids of every live tuple, in id order.
-    fn live_ids(&self) -> Vec<TupleId>;
-
     /// Builds a secondary hash index on `column`.
     fn create_index(&mut self, column: &str) -> Result<()>;
 
@@ -139,10 +136,6 @@ impl QueryExtent for TableStore {
 
     fn insert(&mut self, values: Vec<Value>, now: Tick) -> Result<TupleId> {
         TableStore::insert(self, values, now)
-    }
-
-    fn live_ids(&self) -> Vec<TupleId> {
-        self.iter_live().map(|t| t.meta.id).collect()
     }
 
     fn create_index(&mut self, column: &str) -> Result<()> {

@@ -14,7 +14,7 @@
 //!   the contiguous id range `[k·rows_per_shard, (k+1)·rows_per_shard)`,
 //!   so the shard layout is a pure function of the insert count.
 //! - Every id-ordered view (`for_each_live_meta`, `seed_candidates`,
-//!   `infected_ids`, `live_ids`, scan results) concatenates per-shard
+//!   `infected_ids`, scan results) concatenates per-shard
 //!   views in shard order, which *is* global id order.
 //! - `live_neighbors` bridges shard boundaries and dropped-shard gaps, so
 //!   EGI spread crosses shards exactly as it crosses tombstone holes.
@@ -948,56 +948,6 @@ impl ShardedExtent {
         Ok(())
     }
 
-    /// Flattens the extent into one monolithic [`TableStore`] with the
-    /// same logical content: live tuples, tombstones, dropped ranges
-    /// (re-materialised as tombstone runs), counters, and index
-    /// definitions. Snapshots of sharded containers go through this, so
-    /// the on-disk format is shard-agnostic.
-    pub fn to_monolithic(&self) -> Result<TableStore> {
-        let mut out = TableStore::new(self.schema.clone(), self.storage.clone())?;
-        for col in &self.hash_indexed {
-            out.create_index(col)?;
-        }
-        for col in &self.ord_indexed {
-            out.create_ord_index(col)?;
-        }
-        let mut di = 0usize;
-        let mut si = 0usize;
-        loop {
-            let next_drop = self.dropped.get(di);
-            let take_drop = match (next_drop, si < self.shards.len()) {
-                (Some(d), true) => d.base < self.shards[si].base(),
-                (Some(_), false) => true,
-                (None, true) => false,
-                (None, false) => break,
-            };
-            if take_drop {
-                let d = self.dropped[di];
-                di += 1;
-                let reason = if d.rotted {
-                    TombstoneReason::Rotted
-                } else {
-                    TombstoneReason::Deleted
-                };
-                for _ in d.base..d.end {
-                    out.tombstone_restored(reason)?;
-                }
-            } else {
-                let sh = &self.shards[si];
-                si += 1;
-                replay_store(&mut out, sh.store())?;
-            }
-        }
-        debug_assert_eq!(out.next_id().get(), self.next_id);
-        out.set_counters(
-            self.evicted_rotted(),
-            self.evicted_consumed(),
-            self.evicted_deleted(),
-            self.rotted_unread(),
-        );
-        Ok(out)
-    }
-
     /// Re-shards a monolithic store under `spec`. The logical content is
     /// preserved exactly (live tuples, tombstones, counters, infection
     /// state, index definitions); shard summaries are recomputed.
@@ -1238,14 +1188,6 @@ impl QueryExtent for ShardedExtent {
         Ok(id)
     }
 
-    fn live_ids(&self) -> Vec<TupleId> {
-        let mut out = Vec::new();
-        for sh in &self.shards {
-            out.extend(sh.store().iter_live().map(|t| t.meta.id));
-        }
-        out
-    }
-
     fn create_index(&mut self, column: &str) -> Result<()> {
         ShardedExtent::create_index(self, column)
     }
@@ -1276,6 +1218,12 @@ mod tests {
         .unwrap()
     }
 
+    fn ids_in(ext: &ShardedExtent) -> Vec<u64> {
+        let mut ids = Vec::new();
+        ext.for_each_live_meta(&mut |id, _| ids.push(id.get()));
+        ids
+    }
+
     fn fill<E: QueryExtent>(ext: &mut E, n: i64) {
         for i in 0..n {
             ext.insert(vec![Value::Int(i), Value::Float(i as f64)], Tick(i as u64))
@@ -1296,7 +1244,7 @@ mod tests {
         }
         assert!(ext.meta(TupleId(20)).is_none());
         // Id-ordered global walk.
-        let ids: Vec<u64> = ext.live_ids().iter().map(|i| i.get()).collect();
+        let ids = ids_in(&ext);
         assert_eq!(ids, (0..20).collect::<Vec<_>>());
     }
 
@@ -1425,25 +1373,27 @@ mod tests {
     }
 
     #[test]
-    fn monolithic_roundtrip_preserves_logical_state() {
+    fn from_monolithic_preserves_logical_state() {
+        // The same history on a monolithic store and on a sharded extent,
+        // which drops its first shard whole.
+        let mut mono = TableStore::new(schema(), StorageConfig::for_tests()).unwrap();
         let mut ext = sharded(4);
+        fill(&mut mono, 20);
         fill(&mut ext, 20);
-        QueryExtent::create_ord_index(&mut ext, "v").unwrap();
-        DecaySurface::infect(&mut ext, TupleId(9), Tick(21));
-        for id in 0..4u64 {
-            DecaySurface::decay(&mut ext, TupleId(id), 1.0).unwrap();
+        fn history<E: QueryExtent + DecaySurface>(e: &mut E) {
+            QueryExtent::create_ord_index(e, "v").unwrap();
+            DecaySurface::infect(e, TupleId(9), Tick(21));
+            for id in 0..4u64 {
+                DecaySurface::decay(e, TupleId(id), 1.0).unwrap();
+            }
+            QueryExtent::delete(e, TupleId(6), TombstoneReason::Consumed).unwrap();
         }
-        QueryExtent::delete(&mut ext, TupleId(6), TombstoneReason::Consumed).unwrap();
-        ext.evict_rotten();
+        history(&mut mono);
+        history(&mut ext);
+        assert_eq!(mono.evict_rotten().len(), 4);
+        assert_eq!(ext.evict_rotten().len(), 4);
         assert_eq!(ext.shards_dropped(), 1);
 
-        let mono = ext.to_monolithic().unwrap();
-        assert_eq!(mono.live_count(), ext.live_count());
-        assert_eq!(mono.total_inserted(), ext.total_inserted());
-        assert_eq!(mono.evicted_rotted(), ext.evicted_rotted());
-        assert_eq!(mono.evicted_consumed(), ext.evicted_consumed());
-        assert_eq!(mono.rotted_unread(), ext.rotted_unread());
-        assert_eq!(mono.infected_ids(), ext.infected_ids());
         let live_of = |ext: &ShardedExtent| {
             let mut live = Vec::new();
             ext.for_each_shard_store(|_, store| {
@@ -1454,15 +1404,16 @@ mod tests {
             live
         };
         let mono_live: Vec<Tuple> = mono.iter_live().cloned().collect();
-        let ext_live = live_of(&ext);
-        assert_eq!(mono_live, ext_live);
+        assert_eq!(live_of(&ext), mono_live);
 
         let back = ShardedExtent::from_monolithic(&mono, ShardSpec::new(7)).unwrap();
         assert_eq!(back.live_count(), ext.live_count());
-        assert_eq!(back.evicted_rotted(), ext.evicted_rotted());
-        assert_eq!(back.infected_ids(), ext.infected_ids());
         assert_eq!(back.total_inserted(), ext.total_inserted());
-        assert_eq!(live_of(&back), ext_live);
+        assert_eq!(back.evicted_rotted(), ext.evicted_rotted());
+        assert_eq!(back.evicted_consumed(), ext.evicted_consumed());
+        assert_eq!(back.rotted_unread(), ext.rotted_unread());
+        assert_eq!(back.infected_ids(), ext.infected_ids());
+        assert_eq!(live_of(&back), mono_live);
     }
 
     /// Drives one EGI fungus over an extent: bulk load, then tick + evict
@@ -1564,7 +1515,7 @@ mod tests {
         assert!(s.shards[0].sealed);
         assert_eq!(s.shards[0].live, 2);
         // Content is untouched: all live ids answer, in order.
-        let ids: Vec<u64> = ext.live_ids().iter().map(|i| i.get()).collect();
+        let ids = ids_in(&ext);
         assert_eq!(ids, vec![3, 7, 8, 9, 10, 11]);
         assert_eq!(ext.evicted_deleted(), 6);
         // The merged shard keeps merging rightward once the third shard
@@ -1578,7 +1529,7 @@ mod tests {
         assert_eq!(ext.shard_count(), 1);
         let s = ext.structure();
         assert_eq!((s.shards[0].base, s.shards[0].capacity), (0, 12));
-        let ids: Vec<u64> = ext.live_ids().iter().map(|i| i.get()).collect();
+        let ids = ids_in(&ext);
         assert_eq!(ids, vec![3, 7, 11]);
     }
 

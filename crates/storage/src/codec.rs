@@ -1,4 +1,4 @@
-//! Shared binary encoding primitives for snapshots and the WAL.
+//! Binary encoding primitives for snapshots.
 //!
 //! A tiny, explicit little-endian codec: every field is written by hand so
 //! the on-disk format is stable regardless of `serde` internals. All decode

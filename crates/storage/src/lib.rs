@@ -21,10 +21,8 @@
 //! narrow [`DecaySurface`] trait so every decay model stays
 //! storage-agnostic.
 //!
-//! Persistence comes in two flavours: full binary [`snapshot`]s and an
-//! append-only [`wal`] (write-ahead log) of logical operations; restoring a
-//! snapshot and replaying the tail of the log reconstructs the exact decay
-//! state.
+//! Persistence is one binary [`snapshot`] encoding of a store, which the
+//! engine's checkpoint writes once per shard.
 //!
 //! [`TupleId`]: fungus_types::TupleId
 
@@ -39,7 +37,6 @@ pub mod snapshot;
 pub mod stats;
 pub mod surface;
 pub mod table;
-pub mod wal;
 pub mod zonemap;
 
 pub use config::StorageConfig;
@@ -49,5 +46,4 @@ pub use snapshot::{decode_table, encode_table, load_from_file, save_to_file};
 pub use stats::{FreshnessHistogram, SpotCensus, TableStats};
 pub use surface::DecaySurface;
 pub use table::{CompactionReport, TableStore};
-pub use wal::{LogRecord, WalReader, WalWriter};
 pub use zonemap::ZoneMap;

@@ -439,7 +439,7 @@ impl Segment {
         }
     }
 
-    /// Restores an allocated slot during snapshot decode / WAL replay.
+    /// Restores an allocated slot during snapshot decode.
     /// Slots must be appended in id order starting at `base`.
     pub(crate) fn push_slot_restored(&mut self, slot: Slot) {
         match &slot {

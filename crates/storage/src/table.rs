@@ -134,7 +134,7 @@ impl TableStore {
         Ok(id)
     }
 
-    /// Appends a pre-built tuple during snapshot/WAL restore. The tuple's id
+    /// Appends a pre-built tuple during a restore or a replay. The tuple's id
     /// must be the next dense id.
     pub fn insert_restored(&mut self, tuple: Tuple) -> Result<()> {
         if tuple.meta.id.get() != self.next_id {

@@ -147,15 +147,6 @@ impl Value {
         }
     }
 
-    /// Boolean view, if this is a `Bool`.
-    #[inline]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// String view, if this is a `Str`.
     #[inline]
     pub fn as_str(&self) -> Option<&str> {

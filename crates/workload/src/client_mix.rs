@@ -115,14 +115,6 @@ impl ClientMix {
         }
     }
 
-    /// Fraction of operations that are `INSERT`s (default 0.5; the rest
-    /// are the query mix). Clamped to [0, 1].
-    #[must_use]
-    pub fn with_insert_weight(mut self, w: f64) -> Self {
-        self.insert_w = w.clamp(0.0, 1.0);
-        self
-    }
-
     /// Makes point and range reads consuming (`CONSUME`).
     #[must_use]
     pub fn with_consuming_reads(mut self, consume: bool) -> Self {

@@ -5,7 +5,7 @@
 //! This is the property every experiment in EXPERIMENTS.md leans on.
 
 use spacefungus::fungus_core::RouteSpec;
-use spacefungus::fungus_query::QueryExtent;
+use spacefungus::fungus_storage::DecaySurface;
 use spacefungus::prelude::*;
 
 /// A full-stack session: two containers, EGI + TTL, a rot route, two
@@ -71,7 +71,9 @@ fn fingerprint(db: &Database) -> Vec<(String, usize, u64, u64, u64, Vec<u64>)> {
         .map(|name| {
             let c = db.container(&name).unwrap();
             let g = c.read();
-            let live_ids: Vec<u64> = g.extent().live_ids().iter().map(|id| id.get()).collect();
+            let mut live_ids = Vec::new();
+            g.extent()
+                .for_each_live_meta(&mut |id, _| live_ids.push(id.get()));
             (
                 name,
                 g.live_count(),
@@ -152,7 +154,10 @@ fn snapshot_restore_then_identical_future() {
     let ids = |db: &Database| -> Vec<u64> {
         let c = db.container("r").unwrap();
         let g = c.read();
-        g.extent().live_ids().iter().map(|id| id.get()).collect()
+        let mut ids = Vec::new();
+        g.extent()
+            .for_each_live_meta(&mut |id, _| ids.push(id.get()));
+        ids
     };
     assert_eq!(ids(&original), ids(&restored));
     assert_eq!(original.now(), restored.now());

@@ -1,5 +1,5 @@
 //! End-to-end lifecycle: ingest → decay → query-consume → distill →
-//! health → snapshot → recover, across every crate in the workspace.
+//! health → checkpoint → recover, across every crate in the workspace.
 
 use spacefungus::prelude::*;
 
@@ -78,22 +78,19 @@ fn full_pipeline() {
     assert!(report.score > 0.0 && report.score <= 1.0);
     assert!(!report.recommendations.is_empty());
 
-    // Stage 5: snapshot, restore into a fresh database, verify state.
-    let dir = std::env::temp_dir().join("spacefungus-lifecycle-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("lifecycle-{}.snap", std::process::id()));
-    db.save_container("r", &path).unwrap();
+    // Stage 5: checkpoint, restore into a fresh database, verify state.
+    let dir = std::env::temp_dir().join(format!("spacefungus-lifecycle-{}", std::process::id()));
+    db.checkpoint(&dir).unwrap();
 
     let mut db2 = Database::new(2024);
-    db2.load_container("r", &path, ContainerPolicy::immortal())
-        .unwrap();
+    db2.restore_checkpoint(&dir).unwrap();
     let out1 = db.execute("SELECT COUNT(*), SUM(reading) FROM r").unwrap();
     let out2 = db2.execute("SELECT COUNT(*), SUM(reading) FROM r").unwrap();
     assert_eq!(
         out1.result.rows, out2.result.rows,
         "restored store answers identically"
     );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Law 1 verbatim: "the extent of table R decays … until it has been

@@ -17,9 +17,8 @@
 //! after every tick each live row's read count, last access and
 //! freshness must match, and the property runs over the importance and
 //! lease fungi, which decay by that metadata, as well as over EGI.
-//! Between two ticks the MVCC run's metadata lags by design. The engine's
-//! query counter stays *excluded*: pure snapshot reads are counted in
-//! MVCC telemetry, not `metrics.queries`.
+//! Between two ticks the MVCC run's metadata lags by design. Pure
+//! snapshot reads are counted in MVCC telemetry, not in `EngineMetrics`.
 //!
 //! A second property pins explicit [`SnapshotHandle`]s mid-history and
 //! reads them *later*, after more mutations: the delayed read must return

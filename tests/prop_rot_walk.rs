@@ -209,7 +209,8 @@ fn run<L: Layout>(mut ext: L, spec: &FungusSpec, ops: &[Op], walk: bool) -> Vec<
                 }
             }
             Op::Touch(at) => {
-                let ids = ext.live_ids();
+                let mut ids = Vec::new();
+                ext.for_each_live_meta(&mut |id, _| ids.push(id));
                 if !ids.is_empty() {
                     ext.touch_by(ids[*at as usize % ids.len()], now, 1);
                 }

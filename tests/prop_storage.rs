@@ -1,6 +1,6 @@
 //! Model-based property tests: the segmented [`TableStore`] against a
 //! naive `BTreeMap` reference model under random operation sequences,
-//! plus snapshot/WAL round-trip properties and the copy-on-write contract
+//! plus snapshot round-trip properties and the copy-on-write contract
 //! (a clone is a sealed version no later write shows through).
 
 use std::collections::BTreeMap;
